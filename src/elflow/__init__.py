@@ -8,7 +8,7 @@ from .forcing import ForcingSpec
 from .classical import NSState, ns_rhs, ns_step
 from .el import (
     ELState, ELDerived, WState, initial_state, compute_Q, compute_C,
-    compute_w, reconstruct_u, derive, el_rhs, el_step, reset_labels,
+    compute_w, reconstruct_u, derive, el_step, reset_labels,
     gauge_transform, cotangent_step,
 )
 from .config import RunConfig, load_config, preset
@@ -17,7 +17,7 @@ __all__ = [
     "Grid", "ScalarField", "VectorField", "Tensor2Field", "Tensor3Field",
     "ForcingSpec", "NSState", "ns_rhs", "ns_step",
     "ELState", "ELDerived", "WState", "initial_state", "compute_Q",
-    "compute_C", "compute_w", "reconstruct_u", "derive", "el_rhs", "el_step",
+    "compute_C", "compute_w", "reconstruct_u", "derive", "el_step",
     "reset_labels", "gauge_transform", "cotangent_step",
     "RunConfig", "load_config", "preset",
 ]

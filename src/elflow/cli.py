@@ -41,10 +41,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else preset(args.preset)
-        if args.command == "bounds-report" and cfg.reset.enabled:
-            raise ConfigError(
-                "bound-assertion suites require reset.enabled = false "
-                "(the inequalities assume an unbroken run from t0 = 0)")
         return execute(cfg, args.out, command=args.command)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}),

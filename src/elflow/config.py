@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, is_dataclass
 
 from .errors import ConfigError
 from .forcing import ForcingSpec
@@ -97,6 +97,7 @@ class RunConfig:
     # -- validation / serialization ------------------------------------------
 
     def validate(self) -> "RunConfig":
+        _check_types(self)
         if self.nu < 0:
             raise ConfigError("nu must be >= 0 (nu = 0 runs in Euler mode)")
         if self.mode not in RUN_MODES:
@@ -107,6 +108,15 @@ class RunConfig:
             raise ConfigError(f"potential_mode must be one of {POTENTIAL_MODES}")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
+        if self.cfl_limit <= 0:
+            raise ConfigError("cfl_limit must be positive")
+        if self.reset.threshold <= 0:
+            raise ConfigError("reset.threshold must be positive")
+        if self.mc.samples < 2:
+            raise ConfigError("mc.samples must be >= 2 (the standard error needs two)")
+        if min(self.identity_dts, default=0) <= 0 or len(set(self.identity_dts)) < 2:
+            raise ConfigError("identity_dts needs two or more distinct positive steps "
+                              "(the convergence orders are fitted to them)")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive when given")
         if self.cadence < 1:
@@ -138,7 +148,10 @@ class RunConfig:
             for key, sub in (("grid", GridConfig), ("initial", InitialConfig),
                              ("forcing", ForcingConfig), ("reset", ResetConfig),
                              ("mc", MCConfig)):
-                if key in data and isinstance(data[key], dict):
+                if key in data:
+                    if not isinstance(data[key], dict):
+                        raise ConfigError(f"{key} must be a JSON object, "
+                                          f"got {data[key]!r}")
                     data[key] = sub(**data[key])
             for key in ("m_list", "identity_dts"):
                 if key in data:
@@ -149,6 +162,28 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(f"bad configuration document: {exc}") from exc
         return cfg.validate()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    """Reject values whose JSON type does not match the field's annotation:
+    numbers for int/float fields and tuple entries, booleans for flags."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        name = prefix + f.name
+        kind = f.type.removesuffix(" | None")
+        if is_dataclass(value):
+            _check_types(value, name + ".")
+        elif value is None and kind != f.type:
+            continue
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        elif (kind in ("int", "float") and not _is_number(value)) or (
+                kind.startswith("tuple[") and not all(map(_is_number, value))):
+            raise ConfigError(f"{name} must be numeric, got {value!r}")
 
 
 def load_config(path) -> RunConfig:

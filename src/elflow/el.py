@@ -48,7 +48,7 @@ from .stepping import check_cfl, ensure_finite, if_rk4_step, viscous_decay
 
 __all__ = [
     "ELState", "ELDerived", "initial_state", "compute_Q", "compute_C",
-    "compute_w", "reconstruct_u", "derive", "el_rhs", "el_step",
+    "compute_w", "reconstruct_u", "derive", "el_step",
     "el_step_with_passive", "reset_labels", "gauge_transform",
     "WState", "cotangent_step", "grad_ell_sup",
 ]
@@ -71,7 +71,6 @@ class ELState:
 class ELDerived:
     """Quantities derived pointwise/spectrally from one state (never cached)."""
 
-    A: VectorField
     grad_A: Tensor2Field
     Q: Tensor2Field
     C: Tensor3Field
@@ -88,18 +87,32 @@ def initial_state(u0: VectorField, potential_mode: str = "static") -> ELState:
                    potential_mode=potential_mode)
 
 
-# -- pointwise deformation algebra -------------------------------------------
+# -- the deformation chain -----------------------------------------------------
+#
+# grad ell -> (grad A, Q, det) -> C -> w -> (u, n), each link one function
+# below; every caller composes them. The RK stage alone projects its
+# dealiased w spectrally instead of through ``_project``.
 
-def _identity_plus(gl: np.ndarray, dim: int) -> np.ndarray:
+def _grad_ell(grid: Grid, lhat: np.ndarray) -> np.ndarray:
+    """gl[i, m] = d_i ell_m from the spectrum of ell."""
+    return to_physical(grid, grad_hat(grid, lhat))
+
+
+def _deformation(gl: np.ndarray, det_floor: float):
+    """grad A = I + grad ell, its pointwise inverse Q and det(grad A).
+
+    Raises ``NearSingularJacobianError`` where |det| <= det_floor.
+    """
     gA = gl.copy()
-    for i in range(dim):
+    for i in range(len(gA)):
         gA[i, i] += 1.0
-    return gA
+    q, det = _q_and_det(gA, det_floor)
+    return gA, q, det
 
 
-def _q_and_det(gA: np.ndarray, dim: int, det_floor: float):
+def _q_and_det(gA: np.ndarray, det_floor: float):
     """Pointwise adjugate/determinant inverse; raises on near-singular points."""
-    if dim == 2:
+    if len(gA) == 2:
         a, b = gA[0, 0], gA[0, 1]
         c, d = gA[1, 0], gA[1, 1]
         det = a * d - b * c
@@ -139,12 +152,6 @@ def _check_det(det: np.ndarray, floor: float) -> None:
         raise NearSingularJacobianError(worst_val, point, floor)
 
 
-def compute_Q(grad_A: Tensor2Field, *, det_floor: float = DEFAULT_DET_FLOOR) -> Tensor2Field:
-    """Pointwise inverse of the deformation jacobian."""
-    q, _ = _q_and_det(grad_A.components, grad_A.grid.dim, det_floor)
-    return Tensor2Field(grad_A.grid, q)
-
-
 def _second_derivs(grid: Grid, lhat: np.ndarray) -> np.ndarray:
     """d2[m, k, j] = d_j d_k ell_m, spectral, using j<->k symmetry."""
     tab = tables(grid)
@@ -158,26 +165,47 @@ def _second_derivs(grid: Grid, lhat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
+    """C[m, k; i] = Q[i, j] d_j d_k ell_m (second derivatives of A equal
+    those of the periodic displacement)."""
+    return np.einsum("ij...,mkj...->mki...", q, _second_derivs(grid, lhat))
+
+
+def _cotangent(gl: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w_i = (d_i A^m) v_m = v_i + (d_i ell_m) v_m."""
+    return v + np.einsum("im...,m...->i...", gl, v)
+
+
+def _project(w: VectorField) -> tuple[VectorField, ScalarField]:
+    """u = w - grad n with laplacian(n) = div(w), zero-mean n: u = P(w)."""
+    n = inverse_laplacian(divergence(w))
+    return VectorField(w.grid, w.components - gradient(n).components), n
+
+
+def compute_Q(ell: VectorField, *, det_floor: float = DEFAULT_DET_FLOOR) -> Tensor2Field:
+    """Pointwise inverse of the deformation jacobian grad A = I + grad ell."""
+    grid = ell.grid
+    _, q, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)), det_floor)
+    return Tensor2Field(grid, q)
+
+
 def compute_C(ell: VectorField, Q: Tensor2Field) -> Tensor3Field:
     """Commutator coefficients C[m, k; i], the label derivative of d_k ell_m.
 
     With the conventions here (gradA[i, m] = d_i A_m and gradA @ Q = I
     pointwise) the label derivative acts through the first Q index,
-    C[m, k; i] = Q[i, j] d_j d_k A_m. Second derivatives of A equal those of
-    the (periodic) displacement, so they are evaluated spectrally from ell.
+    C[m, k; i] = Q[i, j] d_j d_k A_m.
     """
     grid = ell.grid
-    d2 = _second_derivs(grid, to_spectral(grid, ell.components))
-    c = np.einsum("ij...,mkj...->mki...", Q.components, d2)
-    return Tensor3Field(grid, c)
+    return Tensor3Field(grid, _commutator(grid, Q.components,
+                                          to_spectral(grid, ell.components)))
 
 
 def compute_w(ell: VectorField, v: VectorField) -> VectorField:
     """Cotangent variable w_i = (d_i A^m) v_m = v_i + (d_i ell_m) v_m."""
     grid = ell.grid
-    gl = to_physical(grid, grad_hat(grid, to_spectral(grid, ell.components)))
-    w = v.components + np.einsum("im...,m...->i...", gl, v.components)
-    return VectorField(grid, w)
+    gl = _grad_ell(grid, to_spectral(grid, ell.components))
+    return VectorField(grid, _cotangent(gl, v.components))
 
 
 def reconstruct_u(ell: VectorField, v: VectorField) -> tuple[VectorField, ScalarField]:
@@ -187,41 +215,32 @@ def reconstruct_u(ell: VectorField, v: VectorField) -> tuple[VectorField, Scalar
     u = (grad A)^T v - grad n, which coincides with the divergence-free
     projection of (grad A)^T v.
     """
-    w = compute_w(ell, v)
-    n = inverse_laplacian(divergence(w))
-    u = VectorField(ell.grid, w.components - gradient(n).components)
-    return u, n
+    return _project(compute_w(ell, v))
 
 
 def derive(state: ELState, *, det_floor: float = DEFAULT_DET_FLOOR) -> ELDerived:
     """All derived quantities of a state; recomputed from scratch each call."""
     grid = state.ell.grid
     lhat = to_spectral(grid, state.ell.components)
-    gl = to_physical(grid, grad_hat(grid, lhat))
-    gA = _identity_plus(gl, grid.dim)
-    q, det = _q_and_det(gA, grid.dim, det_floor)
-    c = np.einsum("ij...,mkj...->mki...", q, _second_derivs(grid, lhat))
-    w = state.v.components + np.einsum("im...,m...->i...", gl, state.v.components)
-    w_field = VectorField(grid, w)
-    n = inverse_laplacian(divergence(w_field))
-    u = VectorField(grid, w - gradient(n).components)
-    coords = np.stack(grid.coords())
+    gl = _grad_ell(grid, lhat)
+    gA, q, det = _deformation(gl, det_floor)
+    c = _commutator(grid, q, lhat)
+    w = VectorField(grid, _cotangent(gl, state.v.components))
+    u, n = _project(w)
     return ELDerived(
-        A=VectorField(grid, coords + state.ell.components),
         grad_A=Tensor2Field(grid, gA),
         Q=Tensor2Field(grid, q),
         C=Tensor3Field(grid, c),
         u=u,
-        w=w_field,
+        w=w,
         n=n,
         det=ScalarField(grid, det),
     )
 
 
-def grad_ell_sup(state: ELState) -> float:
+def grad_ell_sup(ell: VectorField) -> float:
     """sup over points of the Frobenius norm of grad ell (reset monitor)."""
-    grid = state.ell.grid
-    gl = to_physical(grid, grad_hat(grid, to_spectral(grid, state.ell.components)))
+    gl = _grad_ell(ell.grid, to_spectral(ell.grid, ell.components))
     return float(np.max(np.sqrt(np.sum(gl**2, axis=(0, 1)))))
 
 
@@ -235,12 +254,10 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None,
     quadratic product dealiased; u is reconstructed from the dealiased
     cotangent product.
     """
-    gl = to_physical(grid, grad_hat(grid, lhat))
-    gA = _identity_plus(gl, grid.dim)
-    q, _ = _q_and_det(gA, grid.dim, det_floor)
+    gl = _grad_ell(grid, lhat)
+    _, q, _ = _deformation(gl, det_floor)
     v = to_physical(grid, vhat)
-    w = v + np.einsum("im...,m...->i...", gl, v)
-    what = dealias_hat(grid, to_spectral(grid, w))
+    what = dealias_hat(grid, to_spectral(grid, _cotangent(gl, v)))
     uhat = leray_hat(grid, what)
     u = to_physical(grid, uhat)
 
@@ -251,9 +268,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None,
     adv_v = np.einsum("k...,km...->m...", u, gv)
     g_v = -dealias_hat(grid, to_spectral(grid, adv_v))
     if nu > 0.0:
-        d2l = _second_derivs(grid, lhat)
-        c = np.einsum("ij...,mkj...->mki...", q, d2l)
-        source = np.einsum("mki...,km...->i...", c, gv)
+        source = np.einsum("mki...,km...->i...", _commutator(grid, q, lhat), gv)
         g_v += 2.0 * nu * dealias_hat(grid, to_spectral(grid, source))
     if force is not None:
         g = np.einsum("ij...,j...->i...", q, force.components)
@@ -269,29 +284,6 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
     out += quadratic_pressure_hat(grid, u)
     out -= dealias_hat(grid, to_spectral(grid, 0.5 * np.sum(u * u, axis=0)))
     out[_zero_mode(grid)] = 0.0  # the free constant fixes a zero spatial mean
-    return out
-
-
-def el_rhs(state: ELState, derived: ELDerived, force: VectorField | None = None,
-           *, nu: float):
-    """Full time derivatives (including viscous terms) of (ell, v[, n]).
-
-    Returns ``(d ell/dt, d v/dt)`` in static potential mode and additionally
-    ``d n/dt`` in dynamic mode. ``derived`` must belong to ``state``.
-    """
-    grid = state.ell.grid
-    k2 = tables(grid).k2
-    lhat = to_spectral(grid, state.ell.components)
-    vhat = to_spectral(grid, state.v.components)
-    g_ell, g_v, u, _ = _stage_terms(grid, nu, lhat, vhat, force,
-                                    DEFAULT_DET_FLOOR)
-    dl = to_physical(grid, g_ell - nu * k2 * lhat)
-    dv = to_physical(grid, g_v - nu * k2 * vhat)
-    out = (VectorField(grid, dl), VectorField(grid, dv))
-    if state.potential_mode == "dynamic":
-        nhat = to_spectral(grid, state.n_pot.values)
-        dn = to_physical(grid, _potential_rhs_hat(grid, nhat, u) - nu * k2 * nhat)
-        out = out + (ScalarField(grid, dn),)
     return out
 
 
@@ -356,7 +348,7 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
                         reset_count=state.reset_count)
 
     if max_grad_ell is not None:
-        sup = grad_ell_sup(new_state)
+        sup = grad_ell_sup(ell_field)
         if sup > max_grad_ell:
             raise InvertibilityError(sup, max_grad_ell)
 
@@ -413,9 +405,7 @@ def gauge_transform(state: ELState, phi: ScalarField) -> ELState:
     Leaves the reconstructed velocity unchanged for any smooth phi.
     """
     grid = state.ell.grid
-    gl = to_physical(grid, grad_hat(grid, to_spectral(grid, state.ell.components)))
-    gA = _identity_plus(gl, grid.dim)
-    q, _ = _q_and_det(gA, grid.dim, DEFAULT_DET_FLOOR)
+    q = compute_Q(state.ell).components
     dphi = gradient(phi)
     v_new = state.v.components + np.einsum("ij...,j...->i...", q, dphi.components)
     n_new = ScalarField(grid, state.n_pot.values + phi.values)

@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .el import (
-    ELState, compute_C, derive, el_step_with_passive, initial_state,
-    _identity_plus, _q_and_det, _second_derivs,
+    ELState, compute_C, compute_Q, derive, el_step_with_passive, grad_ell_sup,
+    initial_state, reconstruct_u, _deformation, _grad_ell, _second_derivs,
 )
-from .fields import (
-    ScalarField, Tensor2Field, VectorField, l2_norm, sup_norm, integral,
-)
+from .fields import ScalarField, VectorField, l2_norm, sup_norm, integral
 from .forcing import ForcingSpec
 from .grid import Grid, tables
 from .initial import random_bandlimited, random_scalar
@@ -52,6 +50,9 @@ GAMMA_COMMUTATION_COEFF = 50.0   # O(dt^2), centered differencing
 C_EVOLUTION_COEFF = 20.0         # O(dt), forward differencing
 
 _TINY = 1e-300
+
+# Determinant floor of the identity checks, looser than the solver's default.
+CORPUS_DET_FLOOR = 0.05
 
 
 @dataclass
@@ -94,8 +95,7 @@ def random_displacement(grid: Grid, seed: int, grad_inf: float,
         for s in rng_seeds
     ])
     ell = VectorField(grid, comps)
-    gl = to_physical(grid, grad_hat(grid, to_spectral(grid, ell.components)))
-    peak = float(np.max(np.sqrt(np.sum(gl**2, axis=(0, 1)))))
+    peak = grad_ell_sup(ell)
     if peak > 0:
         ell.components *= grad_inf / peak
     return ell
@@ -108,7 +108,6 @@ def make_test_state(grid: Grid, seed: int, grad_inf: float,
     v = random_bandlimited(grid, seed + 1000, amplitude=1.0)
     state = initial_state(v, potential_mode=potential_mode)
     state.ell = ell
-    from .el import reconstruct_u
     _, state.n_pot = reconstruct_u(ell, v)
     return state
 
@@ -118,22 +117,14 @@ def _label_gradient(Q: np.ndarray, grad_g: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,j...->i...", Q, grad_g)
 
 
-def _q_of(ell: VectorField):
-    grid = ell.grid
-    gl = to_physical(grid, grad_hat(grid, to_spectral(grid, ell.components)))
-    gA = _identity_plus(gl, grid.dim)
-    return _q_and_det(gA, grid.dim, 0.05)
-
-
 # -- algebraic identities --------------------------------------------------------
 
 def check_el_derivative_roundtrip(g: ScalarField, ell: VectorField) -> IdentityReport:
     """Eulerian derivatives recombine from label derivatives:
     d_i g = (d_i A_m)(label grad g)_m."""
     grid = g.grid
-    gA = _identity_plus(
-        to_physical(grid, grad_hat(grid, to_spectral(grid, ell.components))), grid.dim)
-    q, _ = _q_and_det(gA, grid.dim, 0.05)
+    gA, q, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)),
+                            CORPUS_DET_FLOOR)
     grad_g = gradient(g).components
     lag = _label_gradient(q, grad_g)
     rhs = np.einsum("im...,m...->i...", gA, lag)
@@ -146,8 +137,8 @@ def check_el_derivative_roundtrip(g: ScalarField, ell: VectorField) -> IdentityR
 def check_commutator(g: ScalarField, ell: VectorField) -> IdentityReport:
     """[label_i, d_k] g = C[m, k; i] (label grad g)_m, for all (i, k)."""
     grid = g.grid
-    q, _ = _q_of(ell)
-    Q = Tensor2Field(grid, q)
+    Q = compute_Q(ell, det_floor=CORPUS_DET_FLOOR)
+    q = Q.components
     C = compute_C(ell, Q).components
     grad_g = gradient(g).components
     hess = hessian(g).components          # hess[j, k] = d_j d_k g
@@ -193,10 +184,9 @@ def check_braces(ell: VectorField) -> IdentityReport:
     """(d_i A^m) C[r, q; m] = d_q d_i A^r (the cancellation behind the
     cotangent equation)."""
     grid = ell.grid
-    q, _ = _q_of(ell)
-    gA = _identity_plus(
-        to_physical(grid, grad_hat(grid, to_spectral(grid, ell.components))), grid.dim)
-    C = compute_C(ell, Tensor2Field(grid, q)).components
+    gA, _, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)),
+                            CORPUS_DET_FLOOR)
+    C = compute_C(ell, compute_Q(ell, det_floor=CORPUS_DET_FLOOR)).components
     d2 = _second_derivs(grid, to_spectral(grid, ell.components))  # [r, q, j]
     lhs = np.einsum("im...,rqm...->iqr...", gA, C)
     rhs = np.einsum("rqi...->iqr...", d2)
@@ -209,8 +199,9 @@ def check_adjoint(f: ScalarField, g: ScalarField, ell: VectorField) -> IdentityR
     """Integration by parts for the label derivative:
     int (label_i f) g dx = int f (-(label_i g) + Q[i, j] C[p, j; p] g) dx."""
     grid = f.grid
-    q, _ = _q_of(ell)
-    C = compute_C(ell, Tensor2Field(grid, q)).components
+    Q = compute_Q(ell, det_floor=CORPUS_DET_FLOOR)
+    q = Q.components
+    C = compute_C(ell, Q).components
     lag_f = _label_gradient(q, gradient(f).components)
     lag_g = _label_gradient(q, gradient(g).components)
     trace_c = np.einsum("pjp...->j...", C)
@@ -231,7 +222,7 @@ def check_adjoint(f: ScalarField, g: ScalarField, ell: VectorField) -> IdentityR
 # -- semi-discrete identities (G realized by time stepping) ----------------------
 
 def _label_gradient_of(state: ELState, g: ScalarField) -> np.ndarray:
-    q, _ = _q_of(state.ell)
+    q = compute_Q(state.ell, det_floor=CORPUS_DET_FLOOR).components
     return _label_gradient(q, gradient(g).components)
 
 

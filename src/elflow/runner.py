@@ -23,21 +23,21 @@ import numpy as np
 from .classical import NSState, ns_step
 from .config import RunConfig
 from .diagnostics import (
-    DispersionReport, EpsilonBoundReport, KBoundsReport, VGrowthReport,
-    displacement_bounds, epsilon_bound, k_bounds, pair_dispersion,
-    record_classical, record_el, v_growth, write_timeseries_csv,
+    DispersionReport, displacement_bounds, epsilon_bound, k_bounds,
+    pair_dispersion, record_classical, record_el, v_growth,
+    write_timeseries_csv,
 )
 from .el import (
     ELState, WState, cotangent_step, derive, el_step, grad_ell_sup,
     initial_state, reset_labels,
 )
 from .errors import ConfigError, ElflowError, BlowUpError
-from .fields import ScalarField, VectorField, l2_norm, sup_norm
+from .fields import ScalarField, VectorField, l2_norm, magnitude, sup_norm
 from .identities import run_identity_suite, check_gamma_commutation, \
     check_C_evolution, make_test_state
 from .initial import make_initial, random_scalar
 from .snapshots import write_snapshot
-from .spectral import gradient
+from .spectral import gradient, leray_project
 
 __all__ = [
     "RunResult", "CompareReport", "run_classical", "run_el", "run_cotangent",
@@ -80,107 +80,99 @@ def _guard_rms(u: VectorField, initial_rms: float, t: float) -> None:
             f"velocity RMS grew {rms / initial_rms:.3g}x past the initial value", t=t)
 
 
-def _failure_dict(exc: ElflowError, t: float) -> dict:
-    return {"error": type(exc).__name__, "message": str(exc), "t": t}
+def _initial_velocity(cfg: RunConfig) -> VectorField:
+    return make_initial(cfg.initial.kind, cfg.grid.build(), cfg.initial.seed,
+                        amplitude=cfg.initial.amplitude, band=cfg.initial.band,
+                        mode=cfg.initial.mode)
+
+
+def _drive(result: RunResult, u0: VectorField, step, sample) -> RunResult:
+    """The step loop every solver runs, from ``result.initial_state``.
+
+    ``step(state, dt)`` returns the next state and the field the RMS guard
+    watches; ``sample(state)`` returns a diagnostics record, the velocity and
+    the cotangent field (None for the classical solver). The step count and
+    the RMS reference come from ``u0``. A solver error ends the run and is
+    kept in ``result.failure`` with the name of the solver.
+    """
+    cfg = result.config
+    steps, dt = _plan_steps(cfg, u0)
+    initial_rms = float(np.sqrt(np.mean(u0.components**2)))
+
+    def record(state):
+        rec, u, w = sample(state)
+        result.records.append(rec)
+        result.times.append(state.t)
+        result.u_series.append(u)
+        if w is not None:
+            result.w_series.append(w)
+
+    state = result.initial_state
+    record(state)
+    try:
+        for i in range(1, steps + 1):
+            state, watched = step(state, dt)
+            _guard_rms(watched, initial_rms, state.t)
+            if i % cfg.cadence == 0 or i == steps:
+                record(state)
+    except ElflowError as exc:
+        result.failure = {"error": type(exc).__name__, "message": str(exc),
+                          "t": state.t, "solver": result.kind}
+    result.final_state = state
+    return result
 
 
 def run_classical(cfg: RunConfig) -> RunResult:
-    grid = cfg.grid.build()
     forcing = cfg.forcing.build()
-    u0 = make_initial(cfg.initial.kind, grid, cfg.initial.seed,
-                      amplitude=cfg.initial.amplitude, band=cfg.initial.band,
-                      mode=cfg.initial.mode)
-    steps, dt = _plan_steps(cfg, u0)
-    state = NSState(0.0, u0)
-    result = RunResult(cfg, "classical", initial_state=state)
-    initial_rms = float(np.sqrt(np.mean(u0.components**2)))
+    u0 = _initial_velocity(cfg)
 
-    def sample():
-        result.records.append(record_classical(state, cfg.nu))
-        result.times.append(state.t)
-        result.u_series.append(state.u.copy())
+    def step(state, dt):
+        state = ns_step(state, forcing, dt, nu=cfg.nu, cfl_limit=cfg.cfl_limit)
+        return state, state.u
 
-    sample()
-    try:
-        for step in range(1, steps + 1):
-            state = ns_step(state, forcing, dt, nu=cfg.nu, cfl_limit=cfg.cfl_limit)
-            _guard_rms(state.u, initial_rms, state.t)
-            if step % cfg.cadence == 0 or step == steps:
-                sample()
-    except ElflowError as exc:
-        result.failure = _failure_dict(exc, state.t)
-    result.final_state = state
-    return result
+    def sample(state):
+        return record_classical(state, cfg.nu), state.u.copy(), None
+
+    return _drive(RunResult(cfg, "classical", initial_state=NSState(0.0, u0)),
+                  u0, step, sample)
 
 
 def run_el(cfg: RunConfig, v0: VectorField | None = None) -> RunResult:
-    grid = cfg.grid.build()
     forcing = cfg.forcing.build()
-    u0 = make_initial(cfg.initial.kind, grid, cfg.initial.seed,
-                      amplitude=cfg.initial.amplitude, band=cfg.initial.band,
-                      mode=cfg.initial.mode)
-    steps, dt = _plan_steps(cfg, u0)
-    state = initial_state(v0 if v0 is not None else u0,
-                          potential_mode=cfg.potential_mode)
-    result = RunResult(cfg, "el", initial_state=state)
-    initial_rms = float(np.sqrt(np.mean(u0.components**2)))
+    u0 = _initial_velocity(cfg)
+    result = RunResult(cfg, "el", initial_state=initial_state(
+        v0 if v0 is not None else u0, potential_mode=cfg.potential_mode))
 
-    def sample():
+    def step(state, dt):
+        state = el_step(state, forcing, dt, nu=cfg.nu, cfl_limit=cfg.cfl_limit)
+        if cfg.reset.enabled and grad_ell_sup(state.ell) > cfg.reset.threshold:
+            state = reset_labels(state)
+            result.resets.append(state.t)
+        return state, state.v
+
+    def sample(state):
         d = derive(state)
-        result.records.append(record_el(state, d, cfg.nu, m_list=cfg.m_list,
-                                        forcing=forcing))
-        result.times.append(state.t)
-        result.u_series.append(d.u)
-        result.w_series.append(d.w)
+        return (record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=forcing),
+                d.u, d.w)
 
-    sample()
-    try:
-        for step in range(1, steps + 1):
-            state = el_step(state, forcing, dt, nu=cfg.nu, cfl_limit=cfg.cfl_limit)
-            if cfg.reset.enabled and grad_ell_sup(state) > cfg.reset.threshold:
-                state = reset_labels(state)
-                result.resets.append(state.t)
-            _guard_rms(state.v, initial_rms, state.t)
-            if step % cfg.cadence == 0 or step == steps:
-                sample()
-    except ElflowError as exc:
-        result.failure = _failure_dict(exc, state.t)
-    result.final_state = state
-    return result
+    return _drive(result, u0, step, sample)
 
 
 def run_cotangent(cfg: RunConfig) -> RunResult:
-    grid = cfg.grid.build()
     forcing = cfg.forcing.build()
-    u0 = make_initial(cfg.initial.kind, grid, cfg.initial.seed,
-                      amplitude=cfg.initial.amplitude, band=cfg.initial.band,
-                      mode=cfg.initial.mode)
-    steps, dt = _plan_steps(cfg, u0)
-    state = WState(0.0, u0)
-    result = RunResult(cfg, "cotangent", initial_state=state)
-    initial_rms = float(np.sqrt(np.mean(u0.components**2)))
+    u0 = _initial_velocity(cfg)
 
-    from .spectral import leray_project
+    def step(state, dt):
+        state = cotangent_step(state, forcing, dt, nu=cfg.nu,
+                               cfl_limit=cfg.cfl_limit)
+        return state, state.w
 
-    def sample():
+    def sample(state):
         u = leray_project(state.w)
-        result.records.append(record_classical(NSState(state.t, u), cfg.nu))
-        result.times.append(state.t)
-        result.u_series.append(u)
-        result.w_series.append(state.w.copy())
+        return record_classical(NSState(state.t, u), cfg.nu), u, state.w.copy()
 
-    sample()
-    try:
-        for step in range(1, steps + 1):
-            state = cotangent_step(state, forcing, dt, nu=cfg.nu,
-                                   cfl_limit=cfg.cfl_limit)
-            _guard_rms(state.w, initial_rms, state.t)
-            if step % cfg.cadence == 0 or step == steps:
-                sample()
-    except ElflowError as exc:
-        result.failure = _failure_dict(exc, state.t)
-    result.final_state = state
-    return result
+    return _drive(RunResult(cfg, "cotangent", initial_state=WState(0.0, u0)),
+                  u0, step, sample)
 
 
 def gauge_twin_initial(cfg: RunConfig) -> VectorField:
@@ -191,10 +183,8 @@ def gauge_twin_initial(cfg: RunConfig) -> VectorField:
     formulation, which at finite resolution only holds up to truncation of
     the gauge field itself.
     """
-    grid = cfg.grid.build()
-    u0 = make_initial(cfg.initial.kind, grid, cfg.initial.seed,
-                      amplitude=cfg.initial.amplitude, band=cfg.initial.band,
-                      mode=cfg.initial.mode)
+    u0 = _initial_velocity(cfg)
+    grid = u0.grid
     phi = random_scalar(grid, cfg.gauge_seed, band=max(2, grid.n // 8), width=2.0)
     dphi = gradient(phi)
     norm = l2_norm(dphi)
@@ -260,10 +250,26 @@ def compare_runs(a: RunResult, b: RunResult, kind: str = "",
 
 # -- bound and identity suites ------------------------------------------------------
 
+def _require_unbroken(cfg: RunConfig) -> None:
+    if cfg.reset.enabled:
+        raise ConfigError(
+            "bound-assertion suites require reset.enabled = false "
+            "(the inequalities assume an unbroken run from t0 = 0)")
+
+
+def _pair_dispersion(cfg: RunConfig, result: RunResult) -> DispersionReport:
+    """Pair dispersion of the final displacement of an EL run."""
+    grid = cfg.grid.build()
+    delta0 = cfg.mc.delta0 if cfg.mc.delta0 is not None else grid.length / 8.0
+    state: ELState = result.final_state
+    return pair_dispersion(state.ell, delta0, cfg.mc.samples, cfg.mc.seed,
+                           t=state.t, E0=result.records[0].energy,
+                           eps_B=cfg.forcing.build().eps_bound(cfg.nu, grid.length))
+
+
 def bounds_suite(cfg: RunConfig, result: RunResult | None = None) -> dict:
     """Full bound report on an (unbroken) EL run; returns reports keyed by name."""
-    if cfg.reset.enabled:
-        raise ConfigError("bound suites require reset.enabled = false")
+    _require_unbroken(cfg)
     if result is None:
         result = run_el(cfg)
     grid = cfg.grid.build()
@@ -277,12 +283,7 @@ def bounds_suite(cfg: RunConfig, result: RunResult | None = None) -> dict:
         v_growth(result.records, nu=cfg.nu, grid=grid, m=m, C0=cfg.C0)
         for m in cfg.m_list
     ]
-    delta0 = cfg.mc.delta0 if cfg.mc.delta0 is not None else grid.length / 8.0
-    state: ELState = result.final_state
-    reports["dispersion"] = pair_dispersion(
-        state.ell, delta0, cfg.mc.samples, cfg.mc.seed,
-        t=state.t, E0=result.records[0].energy,
-        eps_B=reports["k_bounds"].eps_B)
+    reports["dispersion"] = _pair_dispersion(cfg, result)
     return reports
 
 
@@ -332,12 +333,9 @@ def _emit_snapshots(outdir: Path, result: RunResult, cfg: RunConfig) -> None:
         if isinstance(state, ELState):
             d = derive(state)
             fields = {"ell": state.ell, "v": state.v, "u": d.u, "n": d.n,
-                      "w": d.w, "det_grad_A": d.det}
-            from .fields import magnitude
-            c_mag = ScalarField(state.ell.grid, magnitude(d.C))
-            fields["C_magnitude"] = c_mag
+                      "w": d.w, "det_grad_A": d.det,
+                      "C_magnitude": ScalarField(state.ell.grid, magnitude(d.C))}
         elif isinstance(state, WState):
-            from .spectral import leray_project
             fields = {"w": state.w, "u": leray_project(state.w)}
         else:
             fields = {"u": state.u}
@@ -371,16 +369,8 @@ def _emit_common(outdir: Path, cfg: RunConfig, result: RunResult) -> None:
 
 
 def _reports_payload(reports: dict) -> dict:
-    def convert(obj):
-        if isinstance(obj, (KBoundsReport, DispersionReport, VGrowthReport,
-                            EpsilonBoundReport)):
-            return obj.to_dict()
-        if isinstance(obj, list):
-            return [convert(o) for o in obj]
-        if hasattr(obj, "to_dict"):
-            return obj.to_dict()
-        return obj
-    return {key: convert(val) for key, val in reports.items()}
+    return {key: [r.to_dict() for r in val] if isinstance(val, list) else val.to_dict()
+            for key, val in reports.items()}
 
 
 def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
@@ -388,8 +378,10 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
 
     0 success, 2 solver failure (partial artifacts emitted), 3 assertion
     failure in a bound/identity suite. Configuration errors raise
-    ``ConfigError`` for the CLI to map to exit code 1.
+    ``ConfigError`` for the CLI to map to exit code 1, before any step.
     """
+    if command == "bounds-report":
+        _require_unbroken(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -406,67 +398,46 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
         ok = all(r.passed for r in reports) and payload["orders_pass"]
         return 0 if ok else 3
 
-    if command == "bounds-report":
+    if command in ("bounds-report", "pair-dispersion"):
         result = run_el(cfg)
         _emit_common(outdir, cfg, result)
         if result.failure is not None:
             _manifest(outdir, cfg)
             return 2
-        reports = bounds_suite(cfg, result)
-        _write_json(outdir / "report_bounds.json", _reports_payload(reports))
+        if command == "bounds-report":
+            reports = bounds_suite(cfg, result)
+            _write_json(outdir / "report_bounds.json", _reports_payload(reports))
+            ok = (
+                reports["k_bounds"].all_asserted_pass
+                and all(c.passed for c in reports["displacement"] if c.asserted)
+                and all(v.all_asserted_pass for v in reports["v_growth"])
+                and reports["dispersion"].passed
+            )
+        else:
+            report = _pair_dispersion(cfg, result)
+            _write_json(outdir / "report_dispersion.json", report.to_dict())
+            ok = report.passed
         _manifest(outdir, cfg)
-        asserted_ok = (
-            reports["k_bounds"].all_asserted_pass
-            and all(c.passed for c in reports["displacement"] if c.asserted)
-            and all(v.all_asserted_pass for v in reports["v_growth"])
-            and reports["dispersion"].passed
-        )
-        return 0 if asserted_ok else 3
-
-    if command == "pair-dispersion":
-        result = run_el(cfg)
-        _emit_common(outdir, cfg, result)
-        if result.failure is not None:
-            _manifest(outdir, cfg)
-            return 2
-        grid = cfg.grid.build()
-        forcing = cfg.forcing.build()
-        delta0 = cfg.mc.delta0 if cfg.mc.delta0 is not None else grid.length / 8.0
-        state: ELState = result.final_state
-        report = pair_dispersion(state.ell, delta0, cfg.mc.samples, cfg.mc.seed,
-                                 t=state.t, E0=result.records[0].energy,
-                                 eps_B=forcing.eps_bound(cfg.nu, grid.length))
-        _write_json(outdir / "report_dispersion.json", report.to_dict())
-        _manifest(outdir, cfg)
-        return 0 if report.passed else 3
+        return 0 if ok else 3
 
     # command == "run" or "compare"
     mode = "compare" if command == "compare" else cfg.mode
-    if mode == "classical":
-        result = run_classical(cfg)
-        _emit_common(outdir, cfg, result)
-    elif mode == "el":
+    if mode == "compare":
         result = run_el(cfg)
-        _emit_common(outdir, cfg, result)
-    elif mode == "cotangent":
-        result = run_cotangent(cfg)
-        _emit_common(outdir, cfg, result)
-    else:
         if cfg.compare_kind == "classical":
-            result = run_el(cfg)
             other = run_classical(cfg)
         elif cfg.compare_kind == "cotangent":
-            result = run_el(cfg)
             other = run_cotangent(cfg)
         else:
-            result = run_el(cfg)
             other = run_el(cfg, v0=gauge_twin_initial(cfg))
+        result.failure = result.failure or other.failure
         _emit_common(outdir, cfg, result)
-        if result.failure is None and other.failure is None:
+        if result.failure is None:
             report = compare_runs(result, other, kind=cfg.compare_kind)
             _write_json(outdir / "report_compare.json", report.to_dict())
-        else:
-            result.failure = result.failure or other.failure
-            _write_json(outdir / "failure.json", result.failure)
+    else:
+        run = {"classical": run_classical, "el": run_el, "cotangent": run_cotangent}[mode]
+        result = run(cfg)
+        _emit_common(outdir, cfg, result)
     _manifest(outdir, cfg)
     return 2 if result.failure is not None else 0

@@ -11,7 +11,7 @@ from elflow.config import (
     preset,
 )
 from elflow.errors import ConfigError
-from elflow.runner import compare_runs, run_classical
+from elflow.runner import compare_runs, execute, run_classical
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -124,6 +124,33 @@ class TestCLI:
         assert main(["bounds-report", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_bounds_report_rejects_resets_before_any_step(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError):
+            execute(tiny_config(mode="el"), out, command="bounds-report")
+        assert not (out / "timeseries.csv").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"grid": [2, 16]},
+        {"nu": "x"},
+        {"reset": {"enabled": "no"}},
+        {"identity_dts": []},
+        {"identity_dts": [1e-3]},
+        {"mc": {"samples": 1}},
+        {"cfl_limit": 0.0},
+        {"reset": {"threshold": 0.0}},
+    ], ids=["grid-not-object", "nu-not-numeric", "flag-not-boolean",
+            "no-identity-dts", "one-identity-dt", "one-mc-sample",
+            "zero-cfl-limit", "zero-reset-threshold"])
+    def test_malformed_config_is_a_config_error(self, doc, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["verify-identities", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
     def test_bounds_report_passes_on_tiny_run(self, tmp_path):
         cfg = tiny_config(mode="el", grid=GridConfig(dim=3, n=16), nu=0.05,
                           t_end=0.05, dt=5e-3, cadence=2,
@@ -139,14 +166,17 @@ class TestCLI:
         assert rep["k_bounds"]["checks"]
         assert rep["dispersion"]["pass"] is True
 
-    def test_cfl_failure_exits_2_with_partial_artifacts(self, tmp_path):
-        cfg = tiny_config(mode="el", dt=5.0, t_end=10.0)
+    @pytest.mark.parametrize("mode", ["classical", "el", "cotangent", "compare"])
+    def test_cfl_failure_exits_2_with_partial_artifacts(self, mode, tmp_path):
+        cfg = tiny_config(mode=mode, dt=5.0, t_end=10.0)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         failure = json.loads((out / "failure.json").read_text())
         assert failure["error"] == "CFLViolationError"
+        # compare runs EL first, so EL's failure is the one reported
+        assert failure["solver"] == ("el" if mode == "compare" else mode)
         assert (out / "timeseries.csv").exists()
 
     def test_verify_identities_smoke(self, tmp_path):

@@ -32,7 +32,7 @@ def run_el_history(grid, nu, forcing, steps, dt, *, amplitude=0.2, every=10,
     from elflow.el import grad_ell_sup
     for step in range(1, steps + 1):
         state = el_step(state, forcing, dt, nu=nu)
-        if reset_threshold is not None and grad_ell_sup(state) > reset_threshold:
+        if reset_threshold is not None and grad_ell_sup(state.ell) > reset_threshold:
             state = reset_labels(state)
         if step % every == 0 or step == steps:
             records.append(record_el(state, derive(state), nu, m_list=m_list,

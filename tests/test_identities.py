@@ -4,8 +4,8 @@ invariance and spectral convergence under grid refinement."""
 import numpy as np
 import pytest
 
-from elflow.el import compute_C, el_step, initial_state
-from elflow.fields import ScalarField, Tensor2Field, VectorField, vector_zeros
+from elflow.el import compute_C, compute_Q, el_step, initial_state
+from elflow.fields import ScalarField, VectorField, vector_zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import (
@@ -68,18 +68,15 @@ class TestCommutator:
     def test_dummy_index_relabeling_invariance(self, grid2d):
         # looped evaluation with permuted contraction order reproduces the
         # vectorized residual to addition-order noise
-        from elflow.el import _identity_plus, _q_and_det
-        from elflow.fields import Tensor2Field
         from elflow.spectral import grad_hat, hessian, to_physical, to_spectral
         g = corpus_scalar(grid2d, 5)
         ell = random_displacement(grid2d, 6, 0.1)
         rep = check_commutator(g, ell)
 
         grid = grid2d
-        gl = to_physical(grid, grad_hat(grid, to_spectral(grid, ell.components)))
-        gA = _identity_plus(gl, 2)
-        q, _ = _q_and_det(gA, 2, 0.05)
-        c = compute_C(ell, Tensor2Field(grid, q)).components
+        Q = compute_Q(ell, det_floor=0.05)
+        q = Q.components
+        c = compute_C(ell, Q).components
         dg = gradient(g).components
         hess = hessian(g).components
         lag = np.stack([sum(q[i, j] * dg[j] for j in reversed(range(2)))
@@ -141,18 +138,15 @@ class TestAdjoint:
         # recompute the residual with explicit loops in permuted order; the
         # vectorized implementation must agree to addition-order noise
         from elflow.fields import integral, l2_norm
-        from elflow.el import _identity_plus, _q_and_det
-        from elflow.spectral import grad_hat, to_physical, to_spectral
         f = corpus_scalar(grid2d, 6)
         g = corpus_scalar(grid2d, 7)
         ell = random_displacement(grid2d, 8, 0.1)
         rep = check_adjoint(f, g, ell)
 
         grid = grid2d
-        gl = to_physical(grid, grad_hat(grid, to_spectral(grid, ell.components)))
-        gA = _identity_plus(gl, 2)
-        q, _ = _q_and_det(gA, 2, 0.05)
-        c = compute_C(ell, Tensor2Field(grid, q)).components
+        Q = compute_Q(ell, det_floor=0.05)
+        q = Q.components
+        c = compute_C(ell, Q).components
         df, dg = gradient(f).components, gradient(g).components
         worst = 0.0
         for i in reversed(range(2)):      # permuted component loop
