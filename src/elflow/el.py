@@ -152,23 +152,40 @@ def _check_det(det: np.ndarray, floor: float) -> None:
         raise NearSingularJacobianError(worst_val, point, floor)
 
 
-def _second_derivs(grid: Grid, lhat: np.ndarray) -> np.ndarray:
-    """d2[m, k, j] = d_j d_k ell_m, spectral, using j<->k symmetry."""
+def _second_derivs(grid: Grid, hat: np.ndarray):
+    """Yield (k, j, block) for k <= j, block[m] = d_j d_k f_m, from the
+    spectrum of the vector f: one transform of ``dim`` scalars per block, so
+    the full second-derivative tensor is never held."""
     tab = tables(grid)
     d = grid.dim
-    out = np.empty((d, d, d, *grid.shape))
     for k in range(d):
         for j in range(k, d):
-            block = to_physical(grid, -(tab.k[j] * tab.k[k]) * lhat)
-            out[:, k, j] = block
-            out[:, j, k] = block
-    return out
+            yield k, j, to_physical(grid, -(tab.k[j] * tab.k[k]) * hat)
 
 
 def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
     """C[m, k; i] = Q[i, j] d_j d_k ell_m (second derivatives of A equal
     those of the periodic displacement)."""
-    return np.einsum("ij...,mkj...->mki...", q, _second_derivs(grid, lhat))
+    d = grid.dim
+    c = np.zeros((d, d, d, *grid.shape))
+    for k, j, block in _second_derivs(grid, lhat):
+        for m in range(d):
+            c[m, k] += q[:, j] * block[m]
+            if j != k:
+                c[m, j] += q[:, k] * block[m]
+    return c
+
+
+def _commutator_source(grid: Grid, q: np.ndarray, lhat: np.ndarray,
+                       gv: np.ndarray) -> np.ndarray:
+    """C[m, k; i] gv[k, m] without building C: Q[i, j] s_j with
+    s_j = sum_{k, m} d_j d_k ell_m gv[k, m]."""
+    s = np.zeros((grid.dim, *grid.shape))
+    for k, j, block in _second_derivs(grid, lhat):
+        s[j] += np.einsum("m...,m...->...", block, gv[k])
+        if j != k:
+            s[k] += np.einsum("m...,m...->...", block, gv[j])
+    return np.einsum("ij...,j...->i...", q, s)
 
 
 def _cotangent(gl: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -268,7 +285,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None,
     adv_v = np.einsum("k...,km...->m...", u, gv)
     g_v = -dealias_hat(grid, to_spectral(grid, adv_v))
     if nu > 0.0:
-        source = np.einsum("mki...,km...->i...", _commutator(grid, q, lhat), gv)
+        source = _commutator_source(grid, q, lhat, gv)
         g_v += 2.0 * nu * dealias_hat(grid, to_spectral(grid, source))
     if force is not None:
         g = np.einsum("ij...,j...->i...", q, force.components)

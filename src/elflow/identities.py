@@ -20,13 +20,16 @@ import numpy as np
 
 from .el import (
     ELState, compute_C, compute_Q, derive, el_step_with_passive, grad_ell_sup,
-    initial_state, reconstruct_u, _deformation, _grad_ell, _second_derivs,
+    initial_state, reconstruct_u, _commutator, _deformation, _grad_ell,
+    _second_derivs,
 )
 from .fields import ScalarField, VectorField, l2_norm, sup_norm, integral
 from .forcing import ForcingSpec
 from .grid import Grid, tables
 from .initial import random_bandlimited, random_scalar
-from .spectral import grad_hat, gradient, hessian, to_physical, to_spectral
+from .spectral import (
+    deriv_hat, grad_hat, gradient, hessian, to_physical, to_spectral,
+)
 
 __all__ = [
     "IdentityReport", "TOLERANCES", "random_displacement", "make_test_state",
@@ -143,14 +146,17 @@ def check_commutator(g: ScalarField, ell: VectorField) -> IdentityReport:
     grad_g = gradient(g).components
     hess = hessian(g).components          # hess[j, k] = d_j d_k g
     lag = _label_gradient(q, grad_g)
-    # label_i(d_k g): pointwise algebra on the exact Hessian
-    term1 = np.einsum("ij...,jk...->ik...", q, hess)
-    # d_k(label_i g): spectral derivative of a non-band-limited product
-    term2 = to_physical(grid, grad_hat(grid, to_spectral(grid, lag)))  # [k, i]
-    comm = term1 - np.einsum("ki...->ik...", term2)
-    rhs = np.einsum("mki...,m...->ik...", C, lag)
+    lag_hat = to_spectral(grid, lag)
+    worst = 0.0
+    for k in range(grid.dim):
+        # label_i(d_k g) is pointwise algebra on the exact Hessian;
+        # d_k(label_i g) a spectral derivative of a non-band-limited product
+        comm = (_label_gradient(q, hess[:, k])
+                - to_physical(grid, deriv_hat(grid, lag_hat, k)))
+        rhs = np.einsum("mi...,m...->i...", C[:, k], lag)
+        worst = max(worst, float(np.max(np.abs(comm - rhs))))
     scale = max(float(np.max(np.abs(hess))), _TINY)
-    residual = np.max(np.abs(comm - rhs)) / scale
+    residual = worst / scale
     return _report("commutator", residual, TOLERANCES["commutator"],
                    {"hess_g_inf": scale})
 
@@ -187,11 +193,14 @@ def check_braces(ell: VectorField) -> IdentityReport:
     gA, _, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)),
                             CORPUS_DET_FLOOR)
     C = compute_C(ell, compute_Q(ell, det_floor=CORPUS_DET_FLOOR)).components
-    d2 = _second_derivs(grid, to_spectral(grid, ell.components))  # [r, q, j]
-    lhs = np.einsum("im...,rqm...->iqr...", gA, C)
-    rhs = np.einsum("rqi...->iqr...", d2)
-    scale = max(float(np.max(np.abs(d2))), _TINY)
-    residual = np.max(np.abs(lhs - rhs)) / scale
+    worst = scale = 0.0
+    for k, j, d2 in _second_derivs(grid, to_spectral(grid, ell.components)):
+        # d2[r] = d_j d_k A^r is the right side for (i, q) = (j, k) and (k, j)
+        for i, q in {(j, k), (k, j)}:
+            lhs = np.einsum("m...,rm...->r...", gA[i], C[:, q])
+            worst = max(worst, float(np.max(np.abs(lhs - d2))))
+        scale = max(scale, float(np.max(np.abs(d2))))
+    residual = worst / max(scale, _TINY)
     return _report("braces", residual, TOLERANCES["braces"], {"d2A_inf": scale})
 
 
@@ -269,30 +278,39 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float,
     + 2 nu C[j,l;i] d_l C[m,k;j], with G C realized by one forward step."""
     grid = state.ell.grid
     forcing = forcing or ForcingSpec("zero")
+    # step first and keep only the stepped C, so the step's working set and
+    # the derived fields of the start state are never held together
+    c1 = derive(el_step_with_passive(state, forcing, dt, nu=nu, passive=())[0]).C.components
     d0 = derive(state)
-    s1 = el_step_with_passive(state, forcing, dt, nu=nu, passive=())[0]
-    c0 = d0.C.components
-    c1 = derive(s1).C.components
+    c0, u, gA = d0.C.components, d0.u.components, d0.grad_A.components
 
-    c0_hat = to_spectral(grid, c0)
-    dt_c = (c1 - c0) / dt
-    grad_c = to_physical(grid, grad_hat(grid, c0_hat))      # [l, m, k, j]
-    advect = np.einsum("l...,lmkj...->mkj...", d0.u.components, grad_c)
-    k2 = tables(grid).k2
-    lap_c = to_physical(grid, -k2 * c0_hat)
-    gamma_c = dt_c + advect - nu * lap_c
-
-    uhat = to_spectral(grid, d0.u.components)
+    uhat = to_spectral(grid, u)
     gu = to_physical(grid, grad_hat(grid, uhat))            # gu[k, l] = d_k u_l
-    hess_u = _second_derivs(grid, uhat)                     # [l, k, j] = d_j d_k u_l
-    lag_gu = np.einsum("ij...,lkj...->ikl...", d0.Q.components, hess_u)
-    term1 = np.einsum("lm...,ikl...->mki...", d0.grad_A.components, lag_gu)
-    term2 = np.einsum("kl...,mli...->mki...", gu, c0)
-    term3 = 2.0 * nu * np.einsum("jli...,lmkj...->mki...", c0, grad_c)
-    residual_field = gamma_c + term1 + term2 - term3
+    lag_gu = _commutator(grid, d0.Q.components, uhat)       # [l, k, i] = label_i(d_k u_l)
+    del d0  # C, u and grad A are all that is read below
+    k2 = tables(grid).k2
 
-    scale = max(float(np.max(np.abs(term1))), float(np.max(np.abs(gamma_c))), _TINY)
-    residual = np.max(np.abs(residual_field)) / scale
+    # one m at a time: C[m] is [k, i], and d_l C[m] is built one l at a time
+    worst = scale = 0.0
+    for m in range(grid.dim):
+        cm_hat = to_spectral(grid, c0[m])
+        gamma_c = (c1[m] - c0[m]) / dt
+        gamma_c -= nu * to_physical(grid, -k2 * cm_hat)
+        term3 = np.zeros_like(gamma_c)
+        for l in range(grid.dim):
+            dl_cm = to_physical(grid, deriv_hat(grid, cm_hat, l))
+            gamma_c += u[l] * dl_cm
+            term3 += np.einsum("ji...,kj...->ki...", c0[:, l], dl_cm)
+        term1 = np.einsum("l...,lki...->ki...", gA[:, m], lag_gu)
+        scale = max(scale, float(np.max(np.abs(term1))), float(np.max(np.abs(gamma_c))))
+        residual_m = gamma_c  # accumulated in place from here on
+        residual_m += term1
+        residual_m += np.einsum("kl...,li...->ki...", gu, c0[m])
+        residual_m -= 2.0 * nu * term3
+        worst = max(worst, float(np.max(np.abs(residual_m))))
+
+    scale = max(scale, _TINY)
+    residual = worst / scale
     return _report("c_evolution", residual, tol_coeff * dt,
                    {"dt": dt, "scale": scale},
                    note="forward time differencing, residual = O(dt)")

@@ -11,8 +11,9 @@ from elflow.classical import NSState, ns_step
 from elflow.el import (
     DEFAULT_DET_FLOOR, WState, compute_C, compute_Q, compute_w,
     cotangent_step, derive, el_step, el_step_with_passive, gauge_transform,
-    initial_state, reconstruct_u, reset_labels, _cotangent_nonlinear_hat,
-    _potential_rhs_hat, _stage_terms,
+    initial_state, reconstruct_u, reset_labels, _commutator,
+    _commutator_source, _cotangent_nonlinear_hat, _potential_rhs_hat,
+    _stage_terms,
 )
 from elflow.errors import (
     CFLViolationError, InvertibilityError, NearSingularJacobianError,
@@ -147,6 +148,38 @@ class TestComputeC:
             for r in range(dim)])  # [r, q, i]
         rhs = np.einsum("rqi...->iqr...", hess)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(np.max(np.abs(rhs)), 1)
+
+
+def dense_second_derivs(grid, lhat):
+    """d2[m, k, j] = d_j d_k ell_m as one array (reference only)."""
+    tab = tables(grid)
+    d = grid.dim
+    out = np.empty((d, d, d, *grid.shape))
+    for k in range(d):
+        for j in range(d):
+            out[:, k, j] = to_physical(grid, -(tab.k[j] * tab.k[k]) * lhat)
+    return out
+
+
+class TestStreamedCommutator:
+    """C and the stage source C[m, k; i] d_k v_m, accumulated from second
+    derivative blocks, against the whole-tensor einsum contraction."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_matches_dense_reference(self, dim, n):
+        grid = Grid(dim, n, TWO_PI)
+        ell = random_displacement(grid, 7, 0.2)
+        lhat = to_spectral(grid, ell.components)
+        q = compute_Q(ell).components
+        gv = jacobian(random_bandlimited(grid, 8)).components  # [k, m] = d_k v_m
+        c_ref = np.einsum("ij...,mkj...->mki...", q, dense_second_derivs(grid, lhat))
+        source_ref = np.einsum("mki...,km...->i...", c_ref, gv)
+        assert np.max(np.abs(c_ref)) > 0.1
+        c = _commutator(grid, q, lhat)
+        source = _commutator_source(grid, q, lhat, gv)
+        assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+        assert (np.max(np.abs(source - source_ref))
+                <= 1e-13 * np.max(np.abs(source_ref)))
 
 
 class TestReconstruction:
