@@ -110,10 +110,16 @@ class RunConfig:
             raise ConfigError("t_end must be positive")
         if self.cfl_limit <= 0:
             raise ConfigError("cfl_limit must be positive")
+        if self.cfl_target <= 0:
+            raise ConfigError("cfl_target must be positive")
+        if self.C0 <= 0:
+            raise ConfigError("C0 must be positive")
         if self.reset.threshold <= 0:
             raise ConfigError("reset.threshold must be positive")
         if self.mc.samples < 2:
             raise ConfigError("mc.samples must be >= 2 (the standard error needs two)")
+        if self.mc.delta0 is not None and self.mc.delta0 <= 0:
+            raise ConfigError("mc.delta0 must be positive when given")
         if min(self.identity_dts, default=0) <= 0 or len(set(self.identity_dts)) < 2:
             raise ConfigError("identity_dts needs two or more distinct positive steps "
                               "(the convergence orders are fitted to them)")
@@ -164,13 +170,18 @@ class RunConfig:
         return cfg.validate()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_int(value) or isinstance(value, float)
 
 
 def _check_types(obj, prefix: str = "") -> None:
     """Reject values whose JSON type does not match the field's annotation:
-    numbers for int/float fields and tuple entries, booleans for flags."""
+    integers for int fields and tuple entries, numbers for float ones,
+    booleans for flags."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         name = prefix + f.name
@@ -181,8 +192,11 @@ def _check_types(obj, prefix: str = "") -> None:
             continue
         elif kind == "bool" and not isinstance(value, bool):
             raise ConfigError(f"{name} must be true or false, got {value!r}")
-        elif (kind in ("int", "float") and not _is_number(value)) or (
-                kind.startswith("tuple[") and not all(map(_is_number, value))):
+        elif (kind == "int" and not _is_int(value)) or (
+                kind.startswith("tuple[int") and not all(map(_is_int, value))):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif (kind == "float" and not _is_number(value)) or (
+                kind.startswith("tuple[float") and not all(map(_is_number, value))):
             raise ConfigError(f"{name} must be numeric, got {value!r}")
 
 
@@ -190,7 +204,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .spectral import curl, jacobian, laplacian
 
 __all__ = [
     "TimeSeriesRecord", "BoundCheck", "KBoundsReport", "DispersionReport",
-    "VGrowthReport", "EpsilonBoundReport",
+    "VGrowthReport", "EpsilonBoundReport", "asserted_pass",
     "record_classical", "record_el", "write_timeseries_csv",
     "k_bounds", "k_infty", "displacement_bounds", "epsilon_bound",
     "pair_dispersion", "v_growth", "helicity",
@@ -161,11 +161,6 @@ class BoundCheck:
     passed: bool | None     # None when not asserted
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "margin": self.margin, "asserted": self.asserted,
-                "pass": self.passed, "note": self.note}
-
 
 def _check(name, lhs, rhs, asserted, note="") -> BoundCheck:
     lhs, rhs = float(lhs), float(rhs)
@@ -174,6 +169,16 @@ def _check(name, lhs, rhs, asserted, note="") -> BoundCheck:
     if asserted:
         passed = lhs <= rhs * (1.0 + ASSERT_SLACK) + 1e-14
     return BoundCheck(name, lhs, rhs, margin, asserted, passed, note)
+
+
+def _worst(checks) -> BoundCheck:
+    """The check of least margin (the first one on ties)."""
+    return min(checks, key=lambda c: c.margin)
+
+
+def asserted_pass(checks) -> bool:
+    """True when every asserted check holds (reported-only checks are ignored)."""
+    return all(c.passed for c in checks if c.asserted)
 
 
 def _times(records) -> np.ndarray:
@@ -212,24 +217,22 @@ class KBoundsReport:
     C_K: float
     checks: list[BoundCheck] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["checks"] = [c.to_dict() for c in self.checks]
-        return out
 
-    @property
-    def all_asserted_pass(self) -> bool:
-        return all(c.passed for c in self.checks if c.asserted)
+def _k0_k1(u0_sq, span, F2, G2, volume, nu):
+    """k0 doubles the initial energy integral plus a time-squared force term;
+    k1 trades the force for its inverse-half-laplacian norm over nu."""
+    k0 = 2.0 * u0_sq + 3.0 * span * (F2 * volume * span)
+    k1 = u0_sq + (G2 * volume * span) / nu if nu > 0 else math.inf
+    return k0, k1
 
 
 def k_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
              *, C_K: float = 1.0) -> KBoundsReport:
     """Energy-balance bounds over the recorded interval [t0, t].
 
-    k0 doubles the initial energy integral plus a time-squared force term,
-    k1 trades the force for its inverse-half-laplacian norm over nu; the
-    balance asserts energy-plus-dissipation stays below K0 = min(k0, k1),
-    and the volume-averaged forms below B = 4 E(t0) + (t - t0) eps_B.
+    The balance asserts energy-plus-dissipation stays below K0 = min(k0, k1)
+    (see ``_k0_k1``), and the volume-averaged forms below
+    B = 4 E(t0) + (t - t0) eps_B.
     """
     if len(records) < 2:
         raise FieldCompatibilityError("k_bounds needs at least two records")
@@ -244,8 +247,7 @@ def k_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
     e0 = records[0].energy
     u0_sq = 2.0 * e0 * volume                      # int |u(t0)|^2 dx
     span = t - t0
-    k0_val = 2.0 * u0_sq + 3.0 * span * (F2 * volume * span)
-    k1_val = u0_sq + (G2 * volume * span) / nu if nu > 0 else math.inf
+    k0_val, k1_val = _k0_k1(u0_sq, span, F2, G2, volume, nu)
     K0 = min(k0_val, k1_val)
     B = 4.0 * e0 + span * eps_B
 
@@ -258,24 +260,20 @@ def k_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
     checks.append(_check("energy_balance(en)", lhs_en, K0, True))
 
     # per-record volume-averaged forms
-    worst_epsb = worst_energyb = None
+    epsb, energyb = [], []
     for idx in range(1, len(records)):
         span_i = times[idx] - t0
         mean_eps = eps_int[idx] / span_i if span_i > 0 else 0.0
         lhs = 2.0 * records[idx].energy + span_i * mean_eps
         rhs = 4.0 * e0 + span_i * min(
             G2 / nu if nu > 0 else math.inf, 3.0 * span_i * F2)
-        c = _check("dissipation_budget(epsbound)", lhs, rhs, True,
-                   note=f"t={times[idx]:.6g}")
-        if worst_epsb is None or c.margin < worst_epsb.margin:
-            worst_epsb = c
+        epsb.append(_check("dissipation_budget(epsbound)", lhs, rhs, True,
+                           note=f"t={times[idx]:.6g}"))
         lhs_b = records[idx].energy + span_i * mean_eps
         rhs_b = 4.0 * e0 + span_i * eps_B
-        cb = _check("energy_budget(energyb)", lhs_b, rhs_b, True,
-                    note=f"t={times[idx]:.6g}")
-        if worst_energyb is None or cb.margin < worst_energyb.margin:
-            worst_energyb = cb
-    checks.extend([worst_epsb, worst_energyb])
+        energyb.append(_check("energy_budget(energyb)", lhs_b, rhs_b, True,
+                              note=f"t={times[idx]:.6g}"))
+    checks.extend([_worst(epsb), _worst(energyb)])
 
     r, K_inf = k_infty(K0, nu, t0, t, forcing, grid, C_K=C_K)
     return KBoundsReport(t0=t0, t=t, k0=k0_val, k1=k1_val, K0=K0, F2=F2, G2=G2,
@@ -341,34 +339,30 @@ def displacement_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
     grad_int = _cumtrapz([r.grad_ell_l2 for r in records], times)
     lap_int = _cumtrapz([r.lap_ell_l2 for r in records], times)
 
-    def k0_at(tt):
-        return min(2.0 * u0_sq + 3.0 * tt * (F2 * volume * tt),
-                   u0_sq + (G2 * volume * tt) / nu if nu > 0 else math.inf)
-
-    worst = {}
+    series = {}
 
     def track(name, lhs, rhs, asserted, t_at):
-        c = _check(name, lhs, rhs, asserted and assertable, note=f"t={t_at:.6g}")
-        if name not in worst or c.margin < worst[name].margin:
-            worst[name] = c
+        series.setdefault(name, []).append(
+            _check(name, lhs, rhs, asserted and assertable, note=f"t={t_at:.6g}"))
 
     for idx in range(1, len(records)):
         tt = times[idx]
         rec = records[idx]
         bt = 4.0 * e0 + tt * eps_B
+        K0_t = min(_k0_k1(u0_sq, tt, F2, G2, volume, nu))
         track("sup_displacement(maxdel)", rec.ell_inf, u_inf_int[idx], True, tt)
         track("l2_displacement(elltwo)",
-              math.sqrt(rec.ell_l2 * volume), tt * math.sqrt(k0_at(tt)), True, tt)
+              math.sqrt(rec.ell_l2 * volume), tt * math.sqrt(K0_t), True, tt)
         track("l2_displacement_volavg(ltwo)", rec.ell_l2, bt * tt**2, dim3, tt)
         if nu > 0:
             track("gradient_time_integral(nablaeltwo)",
                   grad_int[idx] / tt, bt * tt / (2.0 * nu), dim3, tt)
-            r, k_inf = k_infty(k0_at(tt), nu, 0.0, tt, forcing, grid, C_K=C_K)
+            r, k_inf = k_infty(K0_t, nu, 0.0, tt, forcing, grid, C_K=C_K)
             lhs = rec.grad_ell_l2 + nu * lap_int[idx]
             rhs = bt * tt / nu + k_inf**2 * bt / nu**2
             track("grad_and_laplacian(deltaltwo)", lhs, rhs, False, tt)
 
-    checks = list(worst.values())
+    checks = [_worst(cs) for cs in series.values()]
     if problem is not None:
         for c in checks:
             c.note = (c.note + "; " if c.note else "") + f"not asserted: {problem}"
@@ -383,9 +377,6 @@ class EpsilonBoundReport:
     series: list[dict] = field(default_factory=list)
     grad_lap_time_integral: float = 0.0
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def epsilon_bound(records, nu: float, grid: Grid,
@@ -433,11 +424,6 @@ class DispersionReport:
     passed: bool
     t: float
     note: str = ""
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
 
 
 def pair_dispersion(ell: VectorField, delta0: float, samples: int, seed: int, *,
@@ -493,15 +479,6 @@ class VGrowthReport:
     checks: list[BoundCheck] = field(default_factory=list)
     note: str = ""
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["checks"] = [c.to_dict() for c in self.checks]
-        return out
-
-    @property
-    def all_asserted_pass(self) -> bool:
-        return all(c.passed for c in self.checks if c.asserted)
-
 
 def v_growth(records, *, nu: float, grid: Grid, m: int, C0: float) -> VGrowthReport:
     """Exponential-plus-force bound on the L^{2m} norm of v under C-smallness.
@@ -529,17 +506,15 @@ def v_growth(records, *, nu: float, grid: Grid, m: int, C0: float) -> VGrowthRep
     g_series = [0.0 if r.g_norms is None else r.g_norms[m] for r in records]
     g_int = _cumtrapz(g_series, times)
     length = grid.length
-    worst = None
+    series = []
     for idx in range(1, len(records)):
         tt = times[idx]
         if tt > tau:
             break
         rhs = v0 * math.exp(nu * (m - 1) * tt / (2.0 * m * m * length**2)) + g_int[idx]
-        c = _check(f"v_growth(vbound,m={m})", records[idx].v_norms[m], rhs,
-                   dim3, note=f"t={tt:.6g}")
-        if worst is None or c.margin < worst.margin:
-            worst = c
-    checks = [] if worst is None else [worst]
+        series.append(_check(f"v_growth(vbound,m={m})", records[idx].v_norms[m], rhs,
+                             dim3, note=f"t={tt:.6g}"))
+    checks = [_worst(series)] if series else []
     return VGrowthReport(m=m, C0=C0, threshold=threshold,
                          condition_holds_until=float(tau), checks=checks,
                          note="asserted only in 3D" if not dim3 else "")

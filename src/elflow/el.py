@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvertibilityError, NearSingularJacobianError
+from .errors import NearSingularJacobianError
 from .fields import (
     ScalarField, Tensor2Field, Tensor3Field, VectorField, scalar_zeros,
     vector_zeros,
@@ -103,35 +103,29 @@ def _deformation(gl: np.ndarray, det_floor: float):
 
     Raises ``NearSingularJacobianError`` where |det| <= det_floor.
     """
-    gA = gl.copy()
-    for i in range(len(gA)):
-        gA[i, i] += 1.0
-    q, det = _q_and_det(gA, det_floor)
-    return gA, q, det
-
-
-def _q_and_det(gA: np.ndarray, det_floor: float):
-    """Pointwise adjugate/determinant inverse; raises on near-singular points."""
-    if len(gA) == 2:
-        a, b = gA[0, 0], gA[0, 1]
-        c, d = gA[1, 0], gA[1, 1]
+    g = gl.copy()
+    for i in range(len(g)):
+        g[i, i] += 1.0
+    # Q is the adjugate over the determinant, pointwise
+    if len(g) == 2:
+        a, b = g[0, 0], g[0, 1]
+        c, d = g[1, 0], g[1, 1]
         det = a * d - b * c
         _check_det(det, det_floor)
         inv = 1.0 / det
-        q = np.empty_like(gA)
+        q = np.empty_like(g)
         q[0, 0] = d * inv
         q[0, 1] = -b * inv
         q[1, 0] = -c * inv
         q[1, 1] = a * inv
-        return q, det
-    g = gA
+        return g, q, det
     c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
     c01 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
     c02 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
     det = g[0, 0] * c00 + g[0, 1] * c01 + g[0, 2] * c02
     _check_det(det, det_floor)
     inv = 1.0 / det
-    q = np.empty_like(gA)
+    q = np.empty_like(g)
     q[0, 0] = c00 * inv
     q[1, 0] = c01 * inv
     q[2, 0] = c02 * inv
@@ -141,7 +135,7 @@ def _q_and_det(gA: np.ndarray, det_floor: float):
     q[0, 2] = (g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]) * inv
     q[1, 2] = (g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]) * inv
     q[2, 2] = (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) * inv
-    return q, det
+    return g, q, det
 
 
 def _check_det(det: np.ndarray, floor: float) -> None:
@@ -235,12 +229,12 @@ def reconstruct_u(ell: VectorField, v: VectorField) -> tuple[VectorField, Scalar
     return _project(compute_w(ell, v))
 
 
-def derive(state: ELState, *, det_floor: float = DEFAULT_DET_FLOOR) -> ELDerived:
+def derive(state: ELState) -> ELDerived:
     """All derived quantities of a state; recomputed from scratch each call."""
     grid = state.ell.grid
     lhat = to_spectral(grid, state.ell.components)
     gl = _grad_ell(grid, lhat)
-    gA, q, det = _deformation(gl, det_floor)
+    gA, q, det = _deformation(gl, DEFAULT_DET_FLOOR)
     c = _commutator(grid, q, lhat)
     w = VectorField(grid, _cotangent(gl, state.v.components))
     u, n = _project(w)
@@ -263,8 +257,7 @@ def grad_ell_sup(ell: VectorField) -> float:
 
 # -- right-hand sides ---------------------------------------------------------
 
-def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None,
-                 det_floor: float):
+def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None):
     """Shared stage evaluation: returns (G_ell_hat, G_v_hat, u, uhat).
 
     G_* are the non-viscous right-hand sides in spectral space with every
@@ -272,7 +265,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None,
     cotangent product.
     """
     gl = _grad_ell(grid, lhat)
-    _, q, _ = _deformation(gl, det_floor)
+    _, q, _ = _deformation(gl, DEFAULT_DET_FLOOR)
     v = to_physical(grid, vhat)
     what = dealias_hat(grid, to_spectral(grid, _cotangent(gl, v)))
     uhat = leray_hat(grid, what)
@@ -307,8 +300,7 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
 # -- time stepping ------------------------------------------------------------
 
 def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
-             cfl_limit: float, det_floor: float, max_grad_ell: float | None,
-             passive: tuple[ScalarField, ...]):
+             cfl_limit: float, passive: tuple[ScalarField, ...]):
     grid = state.ell.grid
     d = grid.dim
     dynamic = state.potential_mode == "dynamic"
@@ -329,7 +321,7 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
 
     def rhs(y, t):
         out = np.empty_like(y)
-        g_ell, g_v, u, _ = _stage_terms(grid, nu, y[:d], y[d:2 * d], force, det_floor)
+        g_ell, g_v, u, _ = _stage_terms(grid, nu, y[:d], y[d:2 * d], force)
         if cfl_pending[0]:
             # first stage sees the input state's own velocity
             check_cfl(float(np.max(np.sqrt(np.sum(u * u, axis=0)))),
@@ -364,11 +356,6 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
                         potential_mode=state.potential_mode,
                         reset_count=state.reset_count)
 
-    if max_grad_ell is not None:
-        sup = grad_ell_sup(ell_field)
-        if sup > max_grad_ell:
-            raise InvertibilityError(sup, max_grad_ell)
-
     row = 2 * d + (1 if dynamic else 0)
     passive_new = [ScalarField(grid, to_physical(grid, ynew[row + j]))
                    for j in range(len(passive))]
@@ -376,29 +363,24 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
 
 
 def el_step(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
-            cfl_limit: float = 0.4, det_floor: float = DEFAULT_DET_FLOOR,
-            max_grad_ell: float | None = None) -> ELState:
+            cfl_limit: float = 0.4) -> ELState:
     """One integrating-factor RK4 step of (ell, v[, n]).
 
     The velocity is reconstructed from (ell, v) at every stage. Raises
-    ``CFLViolationError``/``BlowUpError`` like the classical solver,
+    ``CFLViolationError``/``BlowUpError`` like the classical solver and
     ``NearSingularJacobianError`` when the deformation determinant crosses
-    ``det_floor`` and ``InvertibilityError`` when ``max_grad_ell`` is given
-    and breached (a label reset is then recommended).
+    ``DEFAULT_DET_FLOOR``.
     """
     new_state, _ = _advance(state, forcing, dt, nu=nu, cfl_limit=cfl_limit,
-                            det_floor=det_floor, max_grad_ell=max_grad_ell,
                             passive=())
     return new_state
 
 
 def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
-                         nu: float, passive: tuple[ScalarField, ...],
-                         cfl_limit: float = 0.4,
-                         det_floor: float = DEFAULT_DET_FLOOR):
+                         nu: float, passive: tuple[ScalarField, ...]):
     """Like ``el_step`` but co-evolves scalars by pure advection-diffusion."""
-    return _advance(state, forcing, dt, nu=nu, cfl_limit=cfl_limit,
-                    det_floor=det_floor, max_grad_ell=None, passive=tuple(passive))
+    return _advance(state, forcing, dt, nu=nu, cfl_limit=0.4,
+                    passive=tuple(passive))
 
 
 def reset_labels(state: ELState) -> ELState:

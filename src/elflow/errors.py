@@ -48,19 +48,3 @@ class NearSingularJacobianError(ElflowError):
             f"grid point {self.point} (floor {self.floor:g}); a label reset may "
             "restore conditioning"
         )
-
-
-class InvertibilityError(ElflowError):
-    """The displacement gradient breached the configured threshold.
-
-    The step itself is still well conditioned; the error recommends a label
-    reset before continuing.
-    """
-
-    def __init__(self, grad_ell_inf, threshold):
-        self.grad_ell_inf = float(grad_ell_inf)
-        self.threshold = float(threshold)
-        super().__init__(
-            f"||grad ell||_inf = {self.grad_ell_inf:.4g} exceeds threshold "
-            f"{self.threshold:g}; a label reset is recommended"
-        )

@@ -46,10 +46,6 @@ class Grid:
     def volume(self) -> float:
         return self.length**self.dim
 
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing**self.dim
-
     def axis_points(self) -> np.ndarray:
         """Collocation points along one axis."""
         return np.arange(self.n) * self.spacing

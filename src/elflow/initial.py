@@ -54,8 +54,8 @@ def _band_envelope(grid: Grid, band: int, width: float | None) -> np.ndarray:
 
 
 def random_scalar(grid: Grid, seed: int, *, band: int | None = None,
-                  width: float | None = None, rms: float = 1.0) -> ScalarField:
-    """Zero-mean random scalar, band-limited to ``band`` (default n//4).
+                  width: float | None = None) -> ScalarField:
+    """Zero-mean, unit-RMS random scalar, band-limited to ``band`` (default n//4).
 
     ``width`` sets the Gaussian spectral decay inside the band (default
     band/4, at least 2).
@@ -67,7 +67,7 @@ def random_scalar(grid: Grid, seed: int, *, band: int | None = None,
     values = to_physical(grid, hat)
     scale = float(np.sqrt(np.mean(values**2)))
     if scale > 0:
-        values *= rms / scale
+        values *= 1.0 / scale   # not values / scale: artifacts depend on the last bit
     return ScalarField(grid, values)
 
 

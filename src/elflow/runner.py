@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from .classical import NSState, ns_step
 from .config import RunConfig
 from .diagnostics import (
-    DispersionReport, displacement_bounds, epsilon_bound, k_bounds,
-    pair_dispersion, record_classical, record_el, v_growth,
+    DispersionReport, asserted_pass, displacement_bounds, epsilon_bound,
+    k_bounds, pair_dispersion, record_classical, record_el, v_growth,
     write_timeseries_csv,
 )
 from .el import (
@@ -204,25 +204,14 @@ class CompareReport:
     w_rel_l2: list | None = None
     max_w_rel_l2: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "times": self.times, "rel_l2": self.rel_l2,
-            "rel_linf": self.rel_linf, "max_rel_l2": self.max_rel_l2,
-            "max_rel_linf": self.max_rel_linf, "w_rel_l2": self.w_rel_l2,
-            "max_w_rel_l2": self.max_w_rel_l2,
-        }
 
-
-def compare_runs(a: RunResult, b: RunResult, kind: str = "",
-                 include_w: bool | None = None) -> CompareReport:
+def compare_runs(a: RunResult, b: RunResult, kind: str = "") -> CompareReport:
     """Relative velocity differences on matching sample times.
 
     Raises ``ConfigError`` on mismatched grids or sample times. The relative
     L2 difference of the cotangent series is included for cotangent
     comparisons (gauge twins legitimately differ by a gradient there).
     """
-    if include_w is None:
-        include_w = kind == "cotangent"
     if a.config.grid != b.config.grid:
         raise ConfigError("compare_runs: mismatched grids")
     if len(a.times) != len(b.times) or any(
@@ -236,7 +225,7 @@ def compare_runs(a: RunResult, b: RunResult, kind: str = "",
         rel_l2.append(l2_norm(diff) / ref_l2)
         rel_linf.append(sup_norm(diff) / ref_inf)
     w_rel = None
-    if include_w and a.w_series and b.w_series:
+    if kind == "cotangent" and a.w_series and b.w_series:
         w_rel = []
         for wa, wb in zip(a.w_series, b.w_series):
             diff = VectorField(wa.grid, wa.components - wb.components)
@@ -267,11 +256,9 @@ def _pair_dispersion(cfg: RunConfig, result: RunResult) -> DispersionReport:
                            eps_B=cfg.forcing.build().eps_bound(cfg.nu, grid.length))
 
 
-def bounds_suite(cfg: RunConfig, result: RunResult | None = None) -> dict:
+def bounds_suite(cfg: RunConfig, result: RunResult) -> dict:
     """Full bound report on an (unbroken) EL run; returns reports keyed by name."""
     _require_unbroken(cfg)
-    if result is None:
-        result = run_el(cfg)
     grid = cfg.grid.build()
     forcing = cfg.forcing.build()
     reports: dict = {}
@@ -317,9 +304,16 @@ def identity_suite_with_orders(cfg: RunConfig) -> dict:
 
 # -- artifact emission ----------------------------------------------------------------
 
+def _report_dict(report) -> dict:
+    """A report dataclass as JSON: its fields, with ``passed`` written ``pass``."""
+    return asdict(report, dict_factory=lambda items: {
+        ("pass" if key == "passed" else key): value for key, value in items})
+
+
 def _write_json(path: Path, payload) -> None:
+    """Reports anywhere in ``payload`` are serialized by ``_report_dict``."""
     path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               allow_nan=True) + "\n")
+                               allow_nan=True, default=_report_dict) + "\n")
 
 
 def _emit_snapshots(outdir: Path, result: RunResult, cfg: RunConfig) -> None:
@@ -368,11 +362,6 @@ def _emit_common(outdir: Path, cfg: RunConfig, result: RunResult) -> None:
     _emit_snapshots(outdir, result, cfg)
 
 
-def _reports_payload(reports: dict) -> dict:
-    return {key: [r.to_dict() for r in val] if isinstance(val, list) else val.to_dict()
-            for key, val in reports.items()}
-
-
 def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
     """Run one CLI command; returns the process exit code.
 
@@ -390,7 +379,7 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
         reports = payload["reports"]
         _write_json(outdir / "config.json", cfg.to_dict())
         _write_json(outdir / "report_identities.json", {
-            "reports": [r.to_dict() for r in reports],
+            "reports": reports,
             "orders": payload["orders"],
             "orders_pass": payload["orders_pass"],
         })
@@ -406,16 +395,16 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
             return 2
         if command == "bounds-report":
             reports = bounds_suite(cfg, result)
-            _write_json(outdir / "report_bounds.json", _reports_payload(reports))
+            _write_json(outdir / "report_bounds.json", reports)
             ok = (
-                reports["k_bounds"].all_asserted_pass
-                and all(c.passed for c in reports["displacement"] if c.asserted)
-                and all(v.all_asserted_pass for v in reports["v_growth"])
+                asserted_pass(reports["k_bounds"].checks)
+                and asserted_pass(reports["displacement"])
+                and all(asserted_pass(v.checks) for v in reports["v_growth"])
                 and reports["dispersion"].passed
             )
         else:
             report = _pair_dispersion(cfg, result)
-            _write_json(outdir / "report_dispersion.json", report.to_dict())
+            _write_json(outdir / "report_dispersion.json", report)
             ok = report.passed
         _manifest(outdir, cfg)
         return 0 if ok else 3
@@ -434,7 +423,7 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
         _emit_common(outdir, cfg, result)
         if result.failure is None:
             report = compare_runs(result, other, kind=cfg.compare_kind)
-            _write_json(outdir / "report_compare.json", report.to_dict())
+            _write_json(outdir / "report_compare.json", report)
     else:
         run = {"classical": run_classical, "el": run_el, "cotangent": run_cotangent}[mode]
         result = run(cfg)

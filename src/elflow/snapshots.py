@@ -7,6 +7,7 @@ order over ``(component, x1, x2[, x3])``. Scalar fields store one component.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +42,29 @@ def read_snapshot(path):
     """Load a snapshot; returns ``(field, header_dict)``.
 
     The field type is recovered from the component count: 1 scalar,
-    dim vector, dim^2 rank-2, dim^3 rank-3.
+    dim vector, dim^2 rank-2, dim^3 rank-3. A malformed file raises
+    ``FieldCompatibilityError``.
     """
     raw = Path(path).read_bytes()
+    try:
+        return _parse(raw)
+    except FieldCompatibilityError:
+        raise
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # no newline, bad, too deeply nested or non-ASCII JSON, a ragged
+        # payload, a missing key or a header that is not an object
+        raise FieldCompatibilityError(f"malformed snapshot {path}: {exc!r}") from exc
+
+
+def _parse(raw: bytes):
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline].decode("ascii"))
     grid = Grid(header["dim"], header["n"], header["L"])
     ncomp = header["components"]
+    if not isinstance(ncomp, int):
+        raise FieldCompatibilityError(f"components must be an integer, got {ncomp!r}")
     data = np.frombuffer(raw[newline + 1:], dtype="<f8").astype(np.float64)
-    expected = ncomp * np.prod(grid.shape)
+    expected = ncomp * math.prod(grid.shape)
     if data.size != expected:
         raise FieldCompatibilityError(
             f"snapshot payload has {data.size} values, expected {expected}"

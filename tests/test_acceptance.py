@@ -122,7 +122,7 @@ class TestCriterion4Identities:
         passed = all(r.passed for r in reports)
         report(f"4a (identity residuals {dim}D, worst residual/tol)",
                worst, 1.0, passed)
-        assert passed, [r.name for r in reports if not r.passed]
+        assert passed, [r.identity for r in reports if not r.passed]
 
     def test_time_differenced_orders(self):
         cfg = RunConfig(grid=GridConfig(dim=2, n=64),

@@ -2,6 +2,8 @@
 and byte-level determinism."""
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,20 @@ def tiny_config(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base).validate()
+
+
+def tiny_bounds_config() -> RunConfig:
+    return tiny_config(mode="el", grid=GridConfig(dim=3, n=16), nu=0.05,
+                       t_end=0.05, dt=5e-3, cadence=2,
+                       initial=InitialConfig(kind="taylor_green", amplitude=0.2),
+                       reset=ResetConfig(enabled=False))
+
+
+def documented_keys(kind: str) -> set[str]:
+    """Key set the README gives for one report entry, e.g. "bound checks"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = re.search(kind + r" as\s+`\{([^}]*)\}`", readme).group(1)
+    return {k.strip() for k in keys.split(",")}
 
 
 class TestConfig:
@@ -57,9 +73,10 @@ class TestConfig:
 
     def test_bad_document_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{\"unknown_key\": 1}")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for text in ("{\"unknown_key\": 1}", "[" * 100_000):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(path)
 
 
 class TestCompareRuns:
@@ -139,9 +156,17 @@ class TestCLI:
         {"mc": {"samples": 1}},
         {"cfl_limit": 0.0},
         {"reset": {"threshold": 0.0}},
+        {"grid": {"n": 16.0}},
+        {"mc": {"samples": 100.0}},
+        {"cadence": 1.5},
+        {"dt": None, "cfl_target": 0},
+        {"C0": 0},
+        {"mc": {"delta0": 0}},
     ], ids=["grid-not-object", "nu-not-numeric", "flag-not-boolean",
             "no-identity-dts", "one-identity-dt", "one-mc-sample",
-            "zero-cfl-limit", "zero-reset-threshold"])
+            "zero-cfl-limit", "zero-reset-threshold", "float-grid-n",
+            "float-mc-samples", "fractional-cadence", "zero-cfl-target",
+            "zero-C0", "zero-delta0"])
     def test_malformed_config_is_a_config_error(self, doc, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
@@ -152,19 +177,32 @@ class TestCLI:
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
 
     def test_bounds_report_passes_on_tiny_run(self, tmp_path):
-        cfg = tiny_config(mode="el", grid=GridConfig(dim=3, n=16), nu=0.05,
-                          t_end=0.05, dt=5e-3, cadence=2,
-                          initial=InitialConfig(kind="taylor_green",
-                                                amplitude=0.2),
-                          reset=ResetConfig(enabled=False))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        cfg_path.write_text(json.dumps(tiny_bounds_config().to_dict()))
         out = tmp_path / "o"
         assert main(["bounds-report", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
         rep = json.loads((out / "report_bounds.json").read_text())
         assert rep["k_bounds"]["checks"]
         assert rep["dispersion"]["pass"] is True
+
+    def test_report_entries_carry_the_documented_keys(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_bounds_config().to_dict()))
+        assert main(["bounds-report", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "b")]) == 0
+        bounds = json.loads((tmp_path / "b" / "report_bounds.json").read_text())
+        checks = (bounds["k_bounds"]["checks"] + bounds["displacement"]
+                  + [c for v in bounds["v_growth"] for c in v["checks"]])
+        assert checks
+        assert {frozenset(c) for c in checks} == {frozenset(documented_keys("bound checks"))}
+
+        cfg_path.write_text(json.dumps(tiny_config(identity_dts=(8e-3, 4e-3)).to_dict()))
+        main(["verify-identities", "--config", str(cfg_path), "--out", str(tmp_path / "i")])
+        reports = json.loads((tmp_path / "i" / "report_identities.json").read_text())["reports"]
+        assert reports
+        assert ({frozenset(r) for r in reports}
+                == {frozenset(documented_keys("identity reports"))})
 
     @pytest.mark.parametrize("mode", ["classical", "el", "cotangent", "compare"])
     def test_cfl_failure_exits_2_with_partial_artifacts(self, mode, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from elflow.classical import NSState, ns_step
 from elflow.diagnostics import (
-    displacement_bounds, epsilon_bound, helicity, k_bounds, k_infty,
+    asserted_pass, displacement_bounds, epsilon_bound, helicity, k_bounds, k_infty,
     pair_dispersion, record_classical, record_el, v_growth,
     write_timeseries_csv,
 )
@@ -109,7 +109,7 @@ class TestKBounds:
             if step % 20 == 0:
                 records.append(record_classical(state, nu))
         rep = k_bounds(records, ZERO, nu, g)
-        assert rep.all_asserted_pass
+        assert asserted_pass(rep.checks)
         en = next(c for c in rep.checks if c.name.startswith("energy_balance"))
         assert en.margin > 1.0
 
@@ -278,7 +278,7 @@ class TestVGrowth:
         nu = 0.05
         _, records = run_el_history(grid3d, nu, ZERO, steps=60, dt=5e-3)
         rep = v_growth(records, nu=nu, grid=grid3d, m=2, C0=1.0)
-        assert rep.all_asserted_pass and rep.checks
+        assert asserted_pass(rep.checks) and rep.checks
 
     def test_validates_inputs(self, grid3d):
         nu = 0.05

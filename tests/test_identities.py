@@ -235,7 +235,7 @@ class TestSuite:
     @pytest.mark.parametrize("dim,n", [(2, 64), (3, 48)])
     def test_full_suite_passes(self, dim, n):
         reports = run_identity_suite(Grid(dim, n, TWO_PI))
-        failures = [r.name for r in reports if not r.passed]
+        failures = [r.identity for r in reports if not r.passed]
         assert not failures, f"identity failures: {failures}"
 
     def test_residual_drops_under_refinement(self):

@@ -2,7 +2,10 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
+from elflow.errors import FieldCompatibilityError
 from elflow.fields import ScalarField, Tensor2Field, VectorField
 from elflow.grid import Grid
 from elflow.identities import random_displacement
@@ -58,3 +61,59 @@ class TestWireFormat:
         payload = raw[raw.index(b"\n") + 1:]
         decoded = np.frombuffer(payload, dtype="<f8")
         assert np.array_equal(decoded, np.arange(64, dtype=float))
+
+
+def _header(**overrides) -> dict:
+    header = {"dim": 2, "n": 8, "L": 1.0, "components": 1, "time": 0.0, "name": "s"}
+    header.update(overrides)
+    return header
+
+
+PAYLOAD = np.arange(64, dtype="<f8").tobytes()
+HEADER_LINE = json.dumps(_header()).encode()
+
+
+class TestMalformed:
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("snap") / "s.bin"
+        write_snapshot(path, ScalarField(Grid(2, 8, 1.0), np.arange(64.0).reshape(8, 8)),
+                       time=0.0, name="s")
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("raw", [
+        HEADER_LINE,
+        HEADER_LINE[:20] + b"\n" + PAYLOAD,
+        json.dumps(_header(name="\u00e9"), ensure_ascii=False).encode() + b"\n" + PAYLOAD,
+        HEADER_LINE + b"\n" + PAYLOAD[:-3],
+        json.dumps({k: v for k, v in _header().items() if k != "n"}).encode()
+        + b"\n" + PAYLOAD,
+        b"[2, 8]\n" + PAYLOAD,
+        b"[" * 100_000 + b"\n" + PAYLOAD,
+    ], ids=["no-newline", "truncated-header", "non-ascii", "ragged-payload",
+            "missing-key", "non-object-header", "deeply-nested-header"])
+    def test_malformed_file_is_a_compatibility_error(self, raw, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw)
+        with pytest.raises(FieldCompatibilityError):
+            read_snapshot(path)
+
+    @given(data=st.data())
+    def test_any_truncation_is_a_compatibility_error(self, snapshot, data):
+        path, raw = snapshot
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        bad = path.with_name("cut.bin")
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(FieldCompatibilityError):
+            read_snapshot(bad)
+
+    @given(data=st.data(), junk=st.binary(max_size=96))
+    def test_garbage_bytes_load_or_are_a_compatibility_error(self, snapshot, data, junk):
+        path, raw = snapshot
+        start = data.draw(st.integers(0, len(raw)))
+        bad = path.with_name("junk.bin")
+        bad.write_bytes(raw[:start] + junk + raw[start + len(junk):])
+        try:
+            read_snapshot(bad)
+        except FieldCompatibilityError:
+            pass
