@@ -5,20 +5,19 @@ certification and rigorous-bound diagnostics."""
 from .grid import Grid
 from .fields import ScalarField, VectorField, Tensor2Field, Tensor3Field
 from .forcing import ForcingSpec
-from .classical import NSState, ns_rhs, ns_step
+from .classical import NSState, ns_step
 from .el import (
     ELState, ELDerived, WState, initial_state, compute_Q, compute_C,
-    compute_w, reconstruct_u, derive, el_step, reset_labels,
-    gauge_transform, cotangent_step,
+    compute_w, reconstruct_u, derive, el_step, reset_labels, cotangent_step,
 )
 from .config import RunConfig, load_config, preset
 
 __all__ = [
     "Grid", "ScalarField", "VectorField", "Tensor2Field", "Tensor3Field",
-    "ForcingSpec", "NSState", "ns_rhs", "ns_step",
+    "ForcingSpec", "NSState", "ns_step",
     "ELState", "ELDerived", "WState", "initial_state", "compute_Q",
     "compute_C", "compute_w", "reconstruct_u", "derive", "el_step",
-    "reset_labels", "gauge_transform", "cotangent_step",
+    "reset_labels", "cotangent_step",
     "RunConfig", "load_config", "preset",
 ]
 

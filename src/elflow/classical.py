@@ -17,9 +17,9 @@ from .grid import Grid
 from .spectral import (
     dealias_hat, grad_hat, leray_hat, to_physical, to_spectral,
 )
-from .stepping import check_cfl, ensure_finite, if_rk4_step, viscous_decay
+from .stepping import ensure_finite, if_rk4_step
 
-__all__ = ["NSState", "ns_rhs", "ns_step"]
+__all__ = ["NSState", "ns_step"]
 
 
 @dataclass
@@ -28,43 +28,31 @@ class NSState:
     u: VectorField
 
 
-def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: VectorField | None) -> np.ndarray:
-    """P(dealias(-u.grad u) + f) in spectral space."""
+def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: VectorField | None):
+    """P(dealias(-u.grad u) + f) in spectral space, and the velocity u."""
     u = to_physical(grid, uhat)
     jac = to_physical(grid, grad_hat(grid, uhat))  # jac[i, m] = d_i u_m
     adv = np.einsum("i...,im...->m...", u, jac)
     out = dealias_hat(grid, to_spectral(grid, -adv))
     if force is not None:
         out = out + dealias_hat(grid, to_spectral(grid, force.components))
-    return leray_hat(grid, out)
+    return leray_hat(grid, out), u
 
 
-def ns_rhs(u: VectorField, force: VectorField | None = None) -> VectorField:
-    """Projected advection plus forcing; the viscous term is left to the integrator."""
-    grid = u.grid
-    rhs = _nonlinear_hat(grid, to_spectral(grid, u.components), force)
-    return VectorField(grid, to_physical(grid, rhs))
-
-
-def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float,
-            cfl_limit: float = 0.4) -> NSState:
+def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NSState:
     """Advance one step with integrating-factor RK4.
 
-    Raises ``CFLViolationError`` when max|u| dt / h exceeds ``cfl_limit`` and
-    ``BlowUpError`` on non-finite output.
+    Raises ``CFLViolationError`` when max|u| dt / h exceeds
+    ``stepping.CFL_LIMIT`` and ``BlowUpError`` on non-finite output.
     """
     grid = state.u.grid
-    max_u = float(np.max(np.sqrt(np.sum(state.u.components**2, axis=0))))
-    check_cfl(max_u, dt, grid.spacing, cfl_limit)
-
     force = None if forcing.is_zero else forcing.field(grid, state.t)
 
     def rhs(yhat, t):
         return _nonlinear_hat(grid, yhat, force)
 
     uhat = to_spectral(grid, state.u.components)
-    decay = viscous_decay(grid, nu, 0.5 * dt)
-    new_hat = if_rk4_step(uhat, state.t, dt, decay, rhs)
+    new_hat = if_rk4_step(grid, uhat, state.t, dt, nu, rhs)
     u_new = to_physical(grid, new_hat)
     ensure_finite(u_new, "velocity", state.t + dt)
     return NSState(state.t + dt, VectorField(grid, u_new))

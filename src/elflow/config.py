@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
 
 from .errors import ConfigError
@@ -23,6 +24,7 @@ __all__ = [
 RUN_MODES = ("classical", "el", "cotangent", "compare")
 COMPARE_KINDS = ("classical", "gauge", "cotangent")
 POTENTIAL_MODES = ("static", "dynamic")
+INITIAL_KINDS = ("taylor_green", "abc", "random_bandlimited")
 
 
 @dataclass
@@ -60,14 +62,12 @@ class ForcingConfig:
 @dataclass
 class ResetConfig:
     enabled: bool = True
-    threshold: float = 0.25
 
 
 @dataclass
 class MCConfig:
     samples: int = 100_000
     seed: int = 7
-    delta0: float | None = None     # defaults to L/8 at use time
 
 
 @dataclass
@@ -76,7 +76,6 @@ class RunConfig:
     nu: float = 0.01
     dt: float | None = 1e-3         # None: derived from cfl_target at t = 0
     cfl_target: float = 0.2
-    cfl_limit: float = 0.4
     t_end: float = 1.0
     initial: InitialConfig = field(default_factory=InitialConfig)
     forcing: ForcingConfig = field(default_factory=ForcingConfig)
@@ -84,13 +83,9 @@ class RunConfig:
     reset: ResetConfig = field(default_factory=ResetConfig)
     cadence: int = 10               # diagnostics every this many steps
     m_list: tuple[int, ...] = (2, 3)
-    C0: float = 1.0                 # embedding constant for the v-growth bound
-    C_K: float = 1.0                # prefactor of the sup-norm integral bound
     mc: MCConfig = field(default_factory=MCConfig)
     mode: str = "el"
     compare_kind: str = "classical"
-    gauge_seed: int = 42
-    snapshots: str = "ends"         # none | ends
     identity_seed: int = 1
     identity_dts: tuple[float, ...] = (4e-3, 2e-3, 1e-3)
 
@@ -106,31 +101,27 @@ class RunConfig:
             raise ConfigError(f"compare_kind must be one of {COMPARE_KINDS}")
         if self.potential_mode not in POTENTIAL_MODES:
             raise ConfigError(f"potential_mode must be one of {POTENTIAL_MODES}")
+        if self.initial.kind not in INITIAL_KINDS:
+            raise ConfigError(f"initial.kind must be one of {INITIAL_KINDS}")
+        if self.initial.kind == "abc" and self.grid.dim != 3:
+            raise ConfigError("abc initial condition requires dim = 3")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
-        if self.cfl_limit <= 0:
-            raise ConfigError("cfl_limit must be positive")
         if self.cfl_target <= 0:
             raise ConfigError("cfl_target must be positive")
-        if self.C0 <= 0:
-            raise ConfigError("C0 must be positive")
-        if self.reset.threshold <= 0:
-            raise ConfigError("reset.threshold must be positive")
         if self.mc.samples < 2:
             raise ConfigError("mc.samples must be >= 2 (the standard error needs two)")
-        if self.mc.delta0 is not None and self.mc.delta0 <= 0:
-            raise ConfigError("mc.delta0 must be positive when given")
         if min(self.identity_dts, default=0) <= 0 or len(set(self.identity_dts)) < 2:
             raise ConfigError("identity_dts needs two or more distinct positive steps "
                               "(the convergence orders are fitted to them)")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive when given")
+        if self.dt is not None and not math.isfinite(self.t_end / self.dt):
+            raise ConfigError("t_end / dt, the step count, overflows")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
         if any(m < 2 for m in self.m_list):
             raise ConfigError("m_list entries must be integers >= 2")
-        if self.snapshots not in ("none", "ends"):
-            raise ConfigError("snapshots must be 'none' or 'ends'")
         try:
             self.grid.build()
             self.forcing.build()
@@ -175,13 +166,20 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A finite float or an integer within float range (JSON documents may
+    carry NaN, Infinity and integers too large for a float)."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_types(obj, prefix: str = "") -> None:
     """Reject values whose JSON type does not match the field's annotation:
-    integers for int fields and tuple entries, numbers for float ones,
-    booleans for flags."""
+    integers for int fields and tuple entries, finite numbers for float
+    ones, booleans for flags."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         name = prefix + f.name
@@ -197,7 +195,7 @@ def _check_types(obj, prefix: str = "") -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         elif (kind == "float" and not _is_number(value)) or (
                 kind.startswith("tuple[float") and not all(map(_is_number, value))):
-            raise ConfigError(f"{name} must be numeric, got {value!r}")
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def load_config(path) -> RunConfig:

@@ -40,6 +40,12 @@ __all__ = [
 # cadence-discretization noise; bound margins are orders of magnitude larger.
 ASSERT_SLACK = 1e-9
 
+# Generic constants of the bounds, set to 1: C_K multiplies the sup-norm
+# time-integral bound K_inf, C0 is the embedding constant of the v-growth
+# smallness condition. Reports record the value used.
+C_K = 1.0
+C0 = 1.0
+
 
 @dataclass
 class TimeSeriesRecord:
@@ -226,8 +232,7 @@ def _k0_k1(u0_sq, span, F2, G2, volume, nu):
     return k0, k1
 
 
-def k_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
-             *, C_K: float = 1.0) -> KBoundsReport:
+def k_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid) -> KBoundsReport:
     """Energy-balance bounds over the recorded interval [t0, t].
 
     The balance asserts energy-plus-dissipation stays below K0 = min(k0, k1)
@@ -275,14 +280,14 @@ def k_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
                               note=f"t={times[idx]:.6g}"))
     checks.extend([_worst(epsb), _worst(energyb)])
 
-    r, K_inf = k_infty(K0, nu, t0, t, forcing, grid, C_K=C_K)
+    r, K_inf = k_infty(K0, nu, t0, t, forcing, grid)
     return KBoundsReport(t0=t0, t=t, k0=k0_val, k1=k1_val, K0=K0, F2=F2, G2=G2,
                          Lf2=Lf2, eps_B=eps_B, B=B, r=r, K_inf=K_inf, C_K=C_K,
                          checks=checks)
 
 
 def k_infty(K0: float, nu: float, t0: float, t: float, forcing: ForcingSpec,
-            grid: Grid, *, C_K: float = 1.0):
+            grid: Grid):
     """Six length scales and the sup-norm time-integral bound K_inf.
 
     The free scale gamma is fixed by gamma^4 = nu^3/(t - t0), which makes
@@ -315,8 +320,8 @@ def _el_preconditions(records) -> str | None:
     return None
 
 
-def displacement_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
-                        *, C_K: float = 1.0) -> list[BoundCheck]:
+def displacement_bounds(records, forcing: ForcingSpec, nu: float,
+                        grid: Grid) -> list[BoundCheck]:
     """Displacement-norm inequalities along an unbroken run from t0 = 0.
 
     Explicit-constant bounds (sup, L2, time-integrated gradient) are
@@ -357,7 +362,7 @@ def displacement_bounds(records, forcing: ForcingSpec, nu: float, grid: Grid,
         if nu > 0:
             track("gradient_time_integral(nablaeltwo)",
                   grad_int[idx] / tt, bt * tt / (2.0 * nu), dim3, tt)
-            r, k_inf = k_infty(K0_t, nu, 0.0, tt, forcing, grid, C_K=C_K)
+            r, k_inf = k_infty(K0_t, nu, 0.0, tt, forcing, grid)
             lhs = rec.grad_ell_l2 + nu * lap_int[idx]
             rhs = bt * tt / nu + k_inf**2 * bt / nu**2
             track("grad_and_laplacian(deltaltwo)", lhs, rhs, False, tt)
@@ -480,18 +485,15 @@ class VGrowthReport:
     note: str = ""
 
 
-def v_growth(records, *, nu: float, grid: Grid, m: int, C0: float) -> VGrowthReport:
+def v_growth(records, *, nu: float, grid: Grid, m: int) -> VGrowthReport:
     """Exponential-plus-force bound on the L^{2m} norm of v under C-smallness.
 
     While (int |C|^3)^{1/3} stays below sqrt(2(m-1)/(C0 m^2)), asserts
     ||v(t)||_{2m} <= ||v0||_{2m} exp(nu (m-1) t / (2 m^2 L^2)) +
-    int_0^t ||g||_{2m} ds. C0 is a required caller input (the embedding
-    constant is not pinned numerically anywhere authoritative).
+    int_0^t ||g||_{2m} ds, with the generic embedding constant ``C0``.
     """
     if m < 2:
         raise FieldCompatibilityError("v_growth requires integer m >= 2")
-    if not C0 > 0:
-        raise FieldCompatibilityError("v_growth requires C0 > 0")
     if any(r.v_norms is None or m not in r.v_norms for r in records):
         raise FieldCompatibilityError(f"history lacks ||v||_{2*m} records")
     threshold = math.sqrt(2.0 * (m - 1) / (C0 * m * m))

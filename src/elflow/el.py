@@ -24,12 +24,11 @@ d_i g = gradA[i, m] (Q[m, j] d_j g); all label-index contractions below run
 through the first Q index.
 
 The module also provides the cotangent variable w_i = (d_i A^m) v_m with its
-own dynamics G w + (grad u)^T w = f, u = P(w), label resetting, and gauge
-transformations v_i -> v_i + Q[i,j] d_j phi, n -> n + phi.
+own dynamics G w + (grad u)^T w = f, u = P(w), and label resetting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +43,12 @@ from .spectral import (
     dealias_hat, divergence, grad_hat, gradient, inverse_laplacian, leray_hat,
     quadratic_pressure_hat, to_physical, to_spectral, _zero_mode,
 )
-from .stepping import check_cfl, ensure_finite, if_rk4_step, viscous_decay
+from .stepping import ensure_finite, if_rk4_step
 
 __all__ = [
     "ELState", "ELDerived", "initial_state", "compute_Q", "compute_C",
     "compute_w", "reconstruct_u", "derive", "el_step",
-    "el_step_with_passive", "reset_labels", "gauge_transform",
+    "el_step_with_passive", "reset_labels",
     "WState", "cotangent_step", "grad_ell_sup",
 ]
 
@@ -300,7 +299,7 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
 # -- time stepping ------------------------------------------------------------
 
 def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
-             cfl_limit: float, passive: tuple[ScalarField, ...]):
+             passive: tuple[ScalarField, ...]):
     grid = state.ell.grid
     d = grid.dim
     dynamic = state.potential_mode == "dynamic"
@@ -317,16 +316,9 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
     for row, s in enumerate(passive):
         yhat[pos + row] = to_spectral(grid, s.values)
 
-    cfl_pending = [True]
-
     def rhs(y, t):
         out = np.empty_like(y)
         g_ell, g_v, u, _ = _stage_terms(grid, nu, y[:d], y[d:2 * d], force)
-        if cfl_pending[0]:
-            # first stage sees the input state's own velocity
-            check_cfl(float(np.max(np.sqrt(np.sum(u * u, axis=0)))),
-                      dt, grid.spacing, cfl_limit)
-            cfl_pending[0] = False
         out[:d] = g_ell
         out[d:2 * d] = g_v
         row = 2 * d
@@ -337,10 +329,9 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
             gs = to_physical(grid, grad_hat(grid, y[row + extra]))
             adv = np.einsum("j...,j...->...", u, gs)
             out[row + extra] = -dealias_hat(grid, to_spectral(grid, adv))
-        return out
+        return out, u
 
-    decay = viscous_decay(grid, nu, 0.5 * dt)
-    ynew = if_rk4_step(yhat, state.t, dt, decay, rhs)
+    ynew = if_rk4_step(grid, yhat, state.t, dt, nu, rhs)
 
     ell_new = to_physical(grid, ynew[:d])
     v_new = to_physical(grid, ynew[d:2 * d])
@@ -362,8 +353,7 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
     return new_state, passive_new
 
 
-def el_step(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
-            cfl_limit: float = 0.4) -> ELState:
+def el_step(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float) -> ELState:
     """One integrating-factor RK4 step of (ell, v[, n]).
 
     The velocity is reconstructed from (ell, v) at every stage. Raises
@@ -371,16 +361,14 @@ def el_step(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
     ``NearSingularJacobianError`` when the deformation determinant crosses
     ``DEFAULT_DET_FLOOR``.
     """
-    new_state, _ = _advance(state, forcing, dt, nu=nu, cfl_limit=cfl_limit,
-                            passive=())
+    new_state, _ = _advance(state, forcing, dt, nu=nu, passive=())
     return new_state
 
 
 def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
                          nu: float, passive: tuple[ScalarField, ...]):
     """Like ``el_step`` but co-evolves scalars by pure advection-diffusion."""
-    return _advance(state, forcing, dt, nu=nu, cfl_limit=0.4,
-                    passive=tuple(passive))
+    return _advance(state, forcing, dt, nu=nu, passive=tuple(passive))
 
 
 def reset_labels(state: ELState) -> ELState:
@@ -391,24 +379,10 @@ def reset_labels(state: ELState) -> ELState:
     """
     grid = state.ell.grid
     w = compute_w(state.ell, state.v)
-    ell0 = vector_zeros(grid)
-    _, n_new = reconstruct_u(ell0, w)
-    return ELState(state.t, ell0, w, n_new,
+    _, n_new = _project(w)
+    return ELState(state.t, vector_zeros(grid), w, n_new,
                    potential_mode=state.potential_mode,
                    reset_count=state.reset_count + 1)
-
-
-def gauge_transform(state: ELState, phi: ScalarField) -> ELState:
-    """Apply the gauge shift v -> v + (label gradient of phi), n -> n + phi.
-
-    Leaves the reconstructed velocity unchanged for any smooth phi.
-    """
-    grid = state.ell.grid
-    q = compute_Q(state.ell).components
-    dphi = gradient(phi)
-    v_new = state.v.components + np.einsum("ij...,j...->i...", q, dphi.components)
-    n_new = ScalarField(grid, state.n_pot.values + phi.values)
-    return replace(state, v=VectorField(grid, v_new), n_pot=n_new)
 
 
 # -- cotangent dynamics --------------------------------------------------------
@@ -433,24 +407,17 @@ def _cotangent_nonlinear_hat(grid: Grid, what, force: VectorField | None):
     return out, u
 
 
-def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *, nu: float,
-                   cfl_limit: float = 0.4) -> WState:
+def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
+                   nu: float) -> WState:
     """Advance G w + (grad u)^T w = f with u = P(w) at every stage."""
     grid = state.w.grid
     force = None if forcing.is_zero else forcing.field(grid, state.t)
-    cfl_pending = [True]
 
     def rhs(yhat, t):
-        out, u = _cotangent_nonlinear_hat(grid, yhat, force)
-        if cfl_pending[0]:
-            check_cfl(float(np.max(np.sqrt(np.sum(u * u, axis=0)))),
-                      dt, grid.spacing, cfl_limit)
-            cfl_pending[0] = False
-        return out
+        return _cotangent_nonlinear_hat(grid, yhat, force)
 
     what = to_spectral(grid, state.w.components)
-    decay = viscous_decay(grid, nu, 0.5 * dt)
-    new_hat = if_rk4_step(what, state.t, dt, decay, rhs)
+    new_hat = if_rk4_step(grid, what, state.t, dt, nu, rhs)
     w_new = to_physical(grid, new_hat)
     ensure_finite(w_new, "cotangent variable", state.t + dt)
     return WState(state.t + dt, VectorField(grid, w_new))

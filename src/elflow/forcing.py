@@ -39,6 +39,8 @@ class ForcingSpec:
             raise ConfigError(f"unknown forcing kind {self.kind!r}; choose from {_KINDS}")
         if self.kind != "zero" and self.amplitude < 0:
             raise ConfigError("forcing amplitude must be nonnegative")
+        if self.mode < 1 or len(self.modes) != 2 or min(self.modes) < 1:
+            raise ConfigError("forcing mode must be >= 1 and modes two indices >= 1")
 
     @property
     def is_zero(self) -> bool:

@@ -8,6 +8,7 @@ storage, last axis halved).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ class Grid:
             raise FieldCompatibilityError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8 or self.n % 2 != 0:
             raise FieldCompatibilityError(f"n must be even and >= 8, got {self.n}")
-        if not (self.length > 0 and np.isfinite(self.length)):
+        if not (self.length > 0 and math.isfinite(self.length)):
             raise FieldCompatibilityError(f"length must be positive, got {self.length}")
 
     @property

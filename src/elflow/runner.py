@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 RMS_BLOWUP_FACTOR = 1e6
+# Label reset when sup|grad ell| crosses this (with reset.enabled).
+RESET_THRESHOLD = 0.25
+# Seed of the gradient added to u0 for the gauge twin run.
+GAUGE_SEED = 42
 
 
 @dataclass
@@ -127,7 +131,7 @@ def run_classical(cfg: RunConfig) -> RunResult:
     u0 = _initial_velocity(cfg)
 
     def step(state, dt):
-        state = ns_step(state, forcing, dt, nu=cfg.nu, cfl_limit=cfg.cfl_limit)
+        state = ns_step(state, forcing, dt, nu=cfg.nu)
         return state, state.u
 
     def sample(state):
@@ -144,8 +148,8 @@ def run_el(cfg: RunConfig, v0: VectorField | None = None) -> RunResult:
         v0 if v0 is not None else u0, potential_mode=cfg.potential_mode))
 
     def step(state, dt):
-        state = el_step(state, forcing, dt, nu=cfg.nu, cfl_limit=cfg.cfl_limit)
-        if cfg.reset.enabled and grad_ell_sup(state.ell) > cfg.reset.threshold:
+        state = el_step(state, forcing, dt, nu=cfg.nu)
+        if cfg.reset.enabled and grad_ell_sup(state.ell) > RESET_THRESHOLD:
             state = reset_labels(state)
             result.resets.append(state.t)
         return state, state.v
@@ -163,8 +167,7 @@ def run_cotangent(cfg: RunConfig) -> RunResult:
     u0 = _initial_velocity(cfg)
 
     def step(state, dt):
-        state = cotangent_step(state, forcing, dt, nu=cfg.nu,
-                               cfl_limit=cfg.cfl_limit)
+        state = cotangent_step(state, forcing, dt, nu=cfg.nu)
         return state, state.w
 
     def sample(state):
@@ -185,7 +188,7 @@ def gauge_twin_initial(cfg: RunConfig) -> VectorField:
     """
     u0 = _initial_velocity(cfg)
     grid = u0.grid
-    phi = random_scalar(grid, cfg.gauge_seed, band=max(2, grid.n // 8), width=2.0)
+    phi = random_scalar(grid, GAUGE_SEED, band=max(2, grid.n // 8), width=2.0)
     dphi = gradient(phi)
     norm = l2_norm(dphi)
     if norm > 0:
@@ -247,12 +250,12 @@ def _require_unbroken(cfg: RunConfig) -> None:
 
 
 def _pair_dispersion(cfg: RunConfig, result: RunResult) -> DispersionReport:
-    """Pair dispersion of the final displacement of an EL run."""
+    """Pair dispersion of the final displacement of an EL run, with label
+    radius delta0 = L/8."""
     grid = cfg.grid.build()
-    delta0 = cfg.mc.delta0 if cfg.mc.delta0 is not None else grid.length / 8.0
     state: ELState = result.final_state
-    return pair_dispersion(state.ell, delta0, cfg.mc.samples, cfg.mc.seed,
-                           t=state.t, E0=result.records[0].energy,
+    return pair_dispersion(state.ell, grid.length / 8.0, cfg.mc.samples,
+                           cfg.mc.seed, t=state.t, E0=result.records[0].energy,
                            eps_B=cfg.forcing.build().eps_bound(cfg.nu, grid.length))
 
 
@@ -262,12 +265,12 @@ def bounds_suite(cfg: RunConfig, result: RunResult) -> dict:
     grid = cfg.grid.build()
     forcing = cfg.forcing.build()
     reports: dict = {}
-    reports["k_bounds"] = k_bounds(result.records, forcing, cfg.nu, grid, C_K=cfg.C_K)
+    reports["k_bounds"] = k_bounds(result.records, forcing, cfg.nu, grid)
     reports["displacement"] = displacement_bounds(result.records, forcing,
-                                                  cfg.nu, grid, C_K=cfg.C_K)
+                                                  cfg.nu, grid)
     reports["epsilon"] = epsilon_bound(result.records, cfg.nu, grid, forcing)
     reports["v_growth"] = [
-        v_growth(result.records, nu=cfg.nu, grid=grid, m=m, C0=cfg.C0)
+        v_growth(result.records, nu=cfg.nu, grid=grid, m=m)
         for m in cfg.m_list
     ]
     reports["dispersion"] = _pair_dispersion(cfg, result)
@@ -316,9 +319,7 @@ def _write_json(path: Path, payload) -> None:
                                allow_nan=True, default=_report_dict) + "\n")
 
 
-def _emit_snapshots(outdir: Path, result: RunResult, cfg: RunConfig) -> None:
-    if cfg.snapshots == "none":
-        return
+def _emit_snapshots(outdir: Path, result: RunResult) -> None:
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
 
@@ -359,7 +360,7 @@ def _emit_common(outdir: Path, cfg: RunConfig, result: RunResult) -> None:
         _write_json(outdir / "resets.json", {"times": result.resets})
     if result.failure is not None:
         _write_json(outdir / "failure.json", result.failure)
-    _emit_snapshots(outdir, result, cfg)
+    _emit_snapshots(outdir, result)
 
 
 def execute(cfg: RunConfig, outdir, command: str = "run") -> int:

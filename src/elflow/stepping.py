@@ -12,28 +12,30 @@ import numpy as np
 from .errors import BlowUpError, CFLViolationError
 from .grid import Grid, tables
 
-__all__ = ["if_rk4_step", "check_cfl", "ensure_finite", "viscous_decay"]
+__all__ = ["CFL_LIMIT", "if_rk4_step", "ensure_finite"]
+
+# Largest advective CFL number max|u| dt / h a step accepts.
+CFL_LIMIT = 0.4
 
 
-def viscous_decay(grid: Grid, nu: float, half_dt: float) -> np.ndarray:
-    """exp(-nu |k|^2 dt/2), broadcastable over stacked spectral states."""
-    return np.exp(-nu * tables(grid).k2 * half_dt)
+def if_rk4_step(grid: Grid, yhat: np.ndarray, t: float, dt: float, nu: float, rhs):
+    """One integrating-factor RK4 step of the stacked spectral state ``yhat``.
 
-
-def if_rk4_step(yhat: np.ndarray, t: float, dt: float, decay_half: np.ndarray, rhs):
-    """One integrating-factor RK4 step; ``rhs(yhat, t)`` returns N in spectral space."""
-    e = decay_half
+    ``rhs(yhat, t)`` returns N in spectral space and the physical velocity
+    of its stage. The first stage's velocity is that of the input state:
+    raises ``CFLViolationError`` when its CFL number exceeds ``CFL_LIMIT``.
+    """
+    e = np.exp(-nu * tables(grid).k2 * (0.5 * dt))
     e2 = e * e
-    n1 = rhs(yhat, t)
-    n2 = rhs(e * (yhat + 0.5 * dt * n1), t + 0.5 * dt)
-    n3 = rhs(e * yhat + 0.5 * dt * n2, t + 0.5 * dt)
-    n4 = rhs(e2 * yhat + dt * e * n3, t + dt)
+    n1, u = rhs(yhat, t)
+    max_u = float(np.max(np.sqrt(np.sum(u * u, axis=0))))
+    del u   # not held through the later stages (tests/test_memory_budget.py)
+    if max_u * dt / grid.spacing > CFL_LIMIT:
+        raise CFLViolationError(dt, grid.spacing, max_u, CFL_LIMIT)
+    n2 = rhs(e * (yhat + 0.5 * dt * n1), t + 0.5 * dt)[0]
+    n3 = rhs(e * yhat + 0.5 * dt * n2, t + 0.5 * dt)[0]
+    n4 = rhs(e2 * yhat + dt * e * n3, t + dt)[0]
     return e2 * yhat + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
-
-
-def check_cfl(max_u: float, dt: float, h: float, limit: float) -> None:
-    if max_u * dt / h > limit:
-        raise CFLViolationError(dt, h, max_u, limit)
 
 
 def ensure_finite(arr: np.ndarray, what: str, t: float) -> None:

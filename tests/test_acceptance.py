@@ -37,7 +37,7 @@ def report(name, value, tol, passed):
 def runs_2d():
     cfg = RunConfig(grid=GridConfig(dim=2, n=64), nu=0.01, dt=1e-3, t_end=1.0,
                     initial=InitialConfig(kind="taylor_green"),
-                    reset=ResetConfig(enabled=True, threshold=0.25),
+                    reset=ResetConfig(enabled=True),
                     cadence=10, m_list=(2,))
     cfg.validate()
     return {"el": run_el(cfg), "ns": run_classical(cfg),
@@ -48,7 +48,7 @@ def runs_2d():
 def runs_3d():
     cfg = RunConfig(grid=GridConfig(dim=3, n=32), nu=0.01, dt=1e-3, t_end=0.5,
                     initial=InitialConfig(kind="taylor_green"),
-                    reset=ResetConfig(enabled=True, threshold=0.25),
+                    reset=ResetConfig(enabled=True),
                     cadence=25, m_list=(2,))
     cfg.validate()
     return {"el": run_el(cfg), "ns": run_classical(cfg),
@@ -103,8 +103,8 @@ class TestCriterion3GaugeInvariance:
     def test_gradient_shifted_initial_data(self):
         cfg = RunConfig(grid=GridConfig(dim=2, n=64), nu=0.01, dt=1e-3,
                         t_end=0.5, initial=InitialConfig(kind="taylor_green"),
-                        reset=ResetConfig(enabled=True, threshold=0.25),
-                        cadence=10, m_list=(2,), gauge_seed=42)
+                        reset=ResetConfig(enabled=True),
+                        cadence=10, m_list=(2,))
         cfg.validate()
         base = run_el(cfg)
         twin = run_el(cfg, v0=gauge_twin_initial(cfg))

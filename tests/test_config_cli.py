@@ -3,9 +3,11 @@ and byte-level determinism."""
 import hashlib
 import json
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elflow.cli import main
 from elflow.config import (
@@ -40,6 +42,28 @@ def documented_keys(kind: str) -> set[str]:
     return {k.strip() for k in keys.split(",")}
 
 
+# JSON scalars as json.loads returns them: floats include NaN and the
+# infinities, integers run past the float range
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _config_paths(obj, prefix=()):
+    """Key paths of a configuration: every field, and the fields of each
+    nested section."""
+    for f in fields(obj):
+        yield prefix + (f.name,)
+        if is_dataclass(getattr(obj, f.name)):
+            yield from _config_paths(getattr(obj, f.name), prefix + (f.name,))
+
+
+CONFIG_PATHS = sorted(_config_paths(RunConfig()))
+
+
 class TestConfig:
     def test_round_trip_preserves_hash(self, tmp_path):
         cfg = tiny_config()
@@ -71,9 +95,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset("desk-9d")
 
+    @settings(max_examples=500)
+    @given(edits=st.dictionaries(st.sampled_from(CONFIG_PATHS), JSON_VALUES,
+                                 min_size=1, max_size=3))
+    def test_any_document_gives_a_config_or_a_config_error(self, edits):
+        # the defaults with a few values replaced by arbitrary JSON
+        doc = json.loads(json.dumps(RunConfig().to_dict()))
+        for path, value in edits.items():
+            section = doc
+            for key in path[:-1]:
+                section = section[key] if isinstance(section.get(key), dict) else {}
+            section[path[-1]] = value
+        try:
+            cfg = RunConfig.from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+    def test_readme_lists_the_config_fields(self):
+        cfg = RunConfig()
+        assert documented_keys("a run configuration") == {f.name for f in fields(cfg)}
+        for f in fields(cfg):
+            sub = getattr(cfg, f.name)
+            if is_dataclass(sub):
+                assert documented_keys(f"`{f.name}`") == {g.name for g in fields(sub)}
+
     def test_bad_document_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        for text in ("{\"unknown_key\": 1}", "[" * 100_000):
+        # keys of settings that are constants now
+        removed = ({"cfl_limit": 0.4}, {"C0": 1.0}, {"C_K": 1.0},
+                   {"gauge_seed": 42}, {"snapshots": "ends"},
+                   {"reset": {"threshold": 0.25}}, {"mc": {"delta0": None}})
+        for text in ("{\"unknown_key\": 1}", "[" * 100_000, *map(json.dumps, removed)):
             path.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(path)
@@ -154,19 +207,25 @@ class TestCLI:
         {"identity_dts": []},
         {"identity_dts": [1e-3]},
         {"mc": {"samples": 1}},
-        {"cfl_limit": 0.0},
-        {"reset": {"threshold": 0.0}},
+        {"cfl_limit": 0.4},
         {"grid": {"n": 16.0}},
         {"mc": {"samples": 100.0}},
         {"cadence": 1.5},
         {"dt": None, "cfl_target": 0},
-        {"C0": 0},
-        {"mc": {"delta0": 0}},
+        {"initial": {"kind": "vortex"}},
+        {"initial": {"kind": "abc"}, "grid": {"dim": 2}},
+        {"forcing": {"kind": "multi_mode", "amplitude": 0.1, "modes": [1]}},
+        {"forcing": {"kind": "single_mode", "amplitude": 0.1, "mode": 0}},
+        {"t_end": float("inf")},
+        {"t_end": 1e300, "dt": 1e-10},
+        {"nu": float("nan")},
+        {"dt": float("nan")},
     ], ids=["grid-not-object", "nu-not-numeric", "flag-not-boolean",
             "no-identity-dts", "one-identity-dt", "one-mc-sample",
-            "zero-cfl-limit", "zero-reset-threshold", "float-grid-n",
-            "float-mc-samples", "fractional-cadence", "zero-cfl-target",
-            "zero-C0", "zero-delta0"])
+            "removed-setting", "float-grid-n", "float-mc-samples",
+            "fractional-cadence", "zero-cfl-target", "unknown-initial-kind",
+            "abc-in-2d", "one-forcing-mode", "zero-forcing-mode",
+            "infinite-t-end", "step-count-overflow", "nan-nu", "nan-dt"])
     def test_malformed_config_is_a_config_error(self, doc, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
@@ -175,6 +234,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+        assert not (tmp_path / "o").exists()
 
     def test_bounds_report_passes_on_tiny_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

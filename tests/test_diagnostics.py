@@ -264,29 +264,27 @@ class TestVGrowth:
     def test_threshold_arithmetic(self, grid3d):
         nu = 0.05
         _, records = run_el_history(grid3d, nu, ZERO, steps=10, dt=5e-3)
-        rep = v_growth(records, nu=nu, grid=grid3d, m=2, C0=1.0)
+        rep = v_growth(records, nu=nu, grid=grid3d, m=2)
         assert np.isclose(rep.threshold, math.sqrt(0.5))
 
     def test_condition_trivially_holds_at_t0(self, grid3d):
         nu = 0.05
         _, records = run_el_history(grid3d, nu, ZERO, steps=10, dt=5e-3)
         assert records[0].c_l3 == 0.0
-        rep = v_growth(records, nu=nu, grid=grid3d, m=2, C0=1.0)
+        rep = v_growth(records, nu=nu, grid=grid3d, m=2)
         assert rep.condition_holds_until > 0.0
 
     def test_unforced_bound_holds(self, grid3d):
         nu = 0.05
         _, records = run_el_history(grid3d, nu, ZERO, steps=60, dt=5e-3)
-        rep = v_growth(records, nu=nu, grid=grid3d, m=2, C0=1.0)
+        rep = v_growth(records, nu=nu, grid=grid3d, m=2)
         assert asserted_pass(rep.checks) and rep.checks
 
     def test_validates_inputs(self, grid3d):
         nu = 0.05
         _, records = run_el_history(grid3d, nu, ZERO, steps=5, dt=5e-3)
         with pytest.raises(FieldCompatibilityError):
-            v_growth(records, nu=nu, grid=grid3d, m=1, C0=1.0)
-        with pytest.raises(FieldCompatibilityError):
-            v_growth(records, nu=nu, grid=grid3d, m=2, C0=0.0)
+            v_growth(records, nu=nu, grid=grid3d, m=1)
 
 
 class TestHelicity:

@@ -4,13 +4,15 @@ Closed-form oracles: nilpotent shear inverse, single-mode commutator
 coefficients, manufactured cotangent balance; cross-route self-checks for
 the velocity reconstruction; the classical solver as trajectory oracle.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from elflow.classical import NSState, ns_step
+from elflow.classical import NSState, _nonlinear_hat, ns_step
 from elflow.el import (
     WState, compute_C, compute_Q, compute_w,
-    cotangent_step, derive, el_step, el_step_with_passive, gauge_transform,
+    cotangent_step, derive, el_step, el_step_with_passive,
     initial_state, reconstruct_u, reset_labels, _commutator,
     _commutator_source, _cotangent_nonlinear_hat, _potential_rhs_hat,
     _stage_terms,
@@ -27,6 +29,7 @@ from elflow.spectral import (
     divergence, gradient, jacobian, laplacian, leray_project, to_physical,
     to_spectral,
 )
+from elflow.stepping import CFL_LIMIT
 
 TWO_PI = 2.0 * np.pi
 ZERO = ForcingSpec("zero")
@@ -250,8 +253,8 @@ class TestELRhs:
         after = el_step(state, ZERO, dt, nu=nu)
         u1 = derive(after).u
         dudt = (u1.components - d0.u.components) / dt
-        from elflow.classical import ns_rhs
-        expected = ns_rhs(d0.u).components + nu * laplacian(d0.u).components
+        adv_hat, _ = _nonlinear_hat(g, to_spectral(g, d0.u.components), None)
+        expected = to_physical(g, adv_hat) + nu * laplacian(d0.u).components
         scale = max(np.max(np.abs(expected)), 1.0)
         assert np.max(np.abs(dudt - expected)) < 20 * dt * scale
 
@@ -376,6 +379,15 @@ class TestResetLabels:
         assert np.max(np.abs(d.Q.components - eye)) == 0.0
 
 
+def gauge_transform(state, phi):
+    """The gauge shift v -> v + (label gradient of phi), n -> n + phi."""
+    grid = state.ell.grid
+    q = compute_Q(state.ell).components
+    v = state.v.components + np.einsum("ij...,j...->i...", q, gradient(phi).components)
+    return replace(state, v=VectorField(grid, v),
+                   n_pot=ScalarField(grid, state.n_pot.values + phi.values))
+
+
 class TestGaugeTransform:
     def test_constant_shift(self, grid2d):
         state = initial_state(taylor_green(grid2d))
@@ -441,3 +453,23 @@ class TestCotangent:
         w_from_el = compute_w(el.ell, el.v)
         rel = l2_norm(VectorField(grid2d, w_from_el.components - wst.w.components))
         assert rel / l2_norm(wst.w) < 1e-6
+
+
+class TestCFL:
+    @pytest.mark.parametrize("solver", ["classical", "el", "cotangent"])
+    @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6], ids=["above", "below"])
+    def test_limit_is_sharp(self, solver, factor, grid2d):
+        # every solver checks max|u| dt / h of its input state against the
+        # one limit: just above it raises, just below it steps
+        u0 = taylor_green(grid2d)
+        dt = CFL_LIMIT * factor * grid2d.spacing / sup_norm(u0)
+        state, step = {
+            "classical": (NSState(0.0, u0), ns_step),
+            "el": (initial_state(u0), el_step),
+            "cotangent": (WState(0.0, u0), cotangent_step),
+        }[solver]
+        if factor > 1:
+            with pytest.raises(CFLViolationError):
+                step(state, ZERO, dt, nu=0.01)
+        else:
+            assert step(state, ZERO, dt, nu=0.01).t == dt
