@@ -207,7 +207,10 @@ class TestCLI:
         {"identity_dts": []},
         {"identity_dts": [1e-3]},
         {"mc": {"samples": 1}},
-        {"cfl_limit": 0.4},
+        # settings that are constants now: a document carrying one fails
+        # as an unknown key
+        {"cfl_limit": 0.0},
+        {"reset": {"threshold": 0.0}},
         {"grid": {"n": 16.0}},
         {"mc": {"samples": 100.0}},
         {"cadence": 1.5},
@@ -220,12 +223,15 @@ class TestCLI:
         {"t_end": 1e300, "dt": 1e-10},
         {"nu": float("nan")},
         {"dt": float("nan")},
+        {"C0": 0},
+        {"mc": {"delta0": 0}},
     ], ids=["grid-not-object", "nu-not-numeric", "flag-not-boolean",
             "no-identity-dts", "one-identity-dt", "one-mc-sample",
-            "removed-setting", "float-grid-n", "float-mc-samples",
-            "fractional-cadence", "zero-cfl-target", "unknown-initial-kind",
-            "abc-in-2d", "one-forcing-mode", "zero-forcing-mode",
-            "infinite-t-end", "step-count-overflow", "nan-nu", "nan-dt"])
+            "zero-cfl-limit", "zero-reset-threshold", "float-grid-n",
+            "float-mc-samples", "fractional-cadence", "zero-cfl-target",
+            "unknown-initial-kind", "abc-in-2d", "one-forcing-mode",
+            "zero-forcing-mode", "infinite-t-end", "step-count-overflow",
+            "nan-nu", "nan-dt", "zero-C0", "zero-delta0"])
     def test_malformed_config_is_a_config_error(self, doc, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
