@@ -2,8 +2,9 @@
 
 Subcommands: ``run``, ``compare``, ``verify-identities``, ``bounds-report``,
 ``pair-dispersion``. Each takes ``--config PATH`` (or ``--preset NAME``) and
-``--out DIR``. Exit codes: 0 pass, 1 usage/configuration error, 2 solver
-failure, 3 bound/identity assertion failure.
+``--out DIR``. Exit codes: 0 pass, 1 usage/configuration error or an output
+directory that cannot be written, 2 solver failure, 3 bound/identity
+assertion failure.
 """
 from __future__ import annotations
 
@@ -50,6 +51,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
+    except OSError as exc:   # e.g. an --out path that cannot be a directory
+        print(json.dumps({"error": "output", "message": str(exc)}),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

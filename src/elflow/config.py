@@ -17,7 +17,7 @@ from .forcing import ForcingSpec
 from .grid import Grid
 
 __all__ = [
-    "GridConfig", "InitialConfig", "ForcingConfig", "ResetConfig", "MCConfig",
+    "GridConfig", "InitialConfig", "ResetConfig", "MCConfig",
     "RunConfig", "load_config", "preset", "PRESETS",
 ]
 
@@ -47,19 +47,6 @@ class InitialConfig:
 
 
 @dataclass
-class ForcingConfig:
-    kind: str = "zero"              # zero | single_mode | multi_mode
-    amplitude: float = 0.0
-    mode: int = 1
-    modes: tuple[int, int] = (1, 2)
-    second_weight: float = 0.5
-
-    def build(self) -> ForcingSpec:
-        return ForcingSpec(self.kind, self.amplitude, self.mode,
-                           tuple(self.modes), self.second_weight)
-
-
-@dataclass
 class ResetConfig:
     enabled: bool = True
 
@@ -78,7 +65,7 @@ class RunConfig:
     cfl_target: float = 0.2
     t_end: float = 1.0
     initial: InitialConfig = field(default_factory=InitialConfig)
-    forcing: ForcingConfig = field(default_factory=ForcingConfig)
+    forcing: ForcingSpec = field(default_factory=ForcingSpec)
     potential_mode: str = "static"
     reset: ResetConfig = field(default_factory=ResetConfig)
     cadence: int = 10               # diagnostics every this many steps
@@ -105,6 +92,11 @@ class RunConfig:
             raise ConfigError(f"initial.kind must be one of {INITIAL_KINDS}")
         if self.initial.kind == "abc" and self.grid.dim != 3:
             raise ConfigError("abc initial condition requires dim = 3")
+        if self.initial.mode < 1:
+            raise ConfigError("initial.mode must be >= 1 (mode 0 is a zero flow)")
+        if self.initial.band is not None and self.initial.band < 1:
+            raise ConfigError("initial.band must be >= 1 when given "
+                              "(band 0 keeps no mode: a zero flow)")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
         if self.cfl_target <= 0:
@@ -124,8 +116,7 @@ class RunConfig:
             raise ConfigError("m_list entries must be integers >= 2")
         try:
             self.grid.build()
-            self.forcing.build()
-        except ValueError as exc:   # grid/forcing carry their own diagnostics
+        except ValueError as exc:   # the grid carries its own diagnostics
             raise ConfigError(str(exc)) from exc
         return self
 
@@ -143,7 +134,7 @@ class RunConfig:
         data = dict(data)
         try:
             for key, sub in (("grid", GridConfig), ("initial", InitialConfig),
-                             ("forcing", ForcingConfig), ("reset", ResetConfig),
+                             ("forcing", ForcingSpec), ("reset", ResetConfig),
                              ("mc", MCConfig)):
                 if key in data:
                     if not isinstance(data[key], dict):
@@ -153,8 +144,6 @@ class RunConfig:
             for key in ("m_list", "identity_dts"):
                 if key in data:
                     data[key] = tuple(data[key])
-            if "forcing" in data and isinstance(data["forcing"], ForcingConfig):
-                data["forcing"].modes = tuple(data["forcing"].modes)
             cfg = cls(**data)
         except TypeError as exc:
             raise ConfigError(f"bad configuration document: {exc}") from exc
@@ -230,7 +219,7 @@ def _bounds_3d(n: int = 32) -> RunConfig:
     return RunConfig(
         grid=GridConfig(dim=3, n=n), nu=0.05, dt=5e-3, t_end=2.0,
         initial=InitialConfig(kind="taylor_green", amplitude=0.2),
-        forcing=ForcingConfig(kind="single_mode", amplitude=0.02, mode=2),
+        forcing=ForcingSpec(kind="single_mode", amplitude=0.02, mode=2),
         reset=ResetConfig(enabled=False), mode="el", m_list=(2, 3), cadence=20,
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import NSState
-from .el import ELDerived, ELState
+from .el import ELDerived, ELState, _label
 from .errors import FieldCompatibilityError
 from .fields import VectorField, l2_norm, lp_norm, magnitude, sup_norm
 from .forcing import ForcingSpec
@@ -101,8 +101,8 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
     g_norms = None
     if forcing is not None and not forcing.is_zero:
         f = forcing.field(grid, state.t)
-        g = np.einsum("ij...,j...->i...", derived.Q.components, f.components)
-        g_norms = {m: lp_norm(VectorField(grid, g), 2 * m) for m in m_list}
+        g = VectorField(grid, _label(derived.Q.components, f.components))
+        g_norms = {m: lp_norm(g, 2 * m) for m in m_list}
     hel = helicity(derived.w, derived.u) if grid.dim == 3 else None
     return TimeSeriesRecord(
         t=state.t,
@@ -189,10 +189,6 @@ def asserted_pass(checks) -> bool:
 
 def _times(records) -> np.ndarray:
     return np.array([r.t for r in records])
-
-
-def _trapz(values, times) -> float:
-    return float(np.trapezoid(np.asarray(values, dtype=float), times))
 
 
 def _cumtrapz(values, times) -> np.ndarray:

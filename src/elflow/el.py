@@ -38,10 +38,10 @@ from .fields import (
     vector_zeros,
 )
 from .forcing import ForcingSpec
-from .grid import Grid, tables
+from .grid import Grid
 from .spectral import (
     dealias_hat, divergence, grad_hat, gradient, inverse_laplacian, leray_hat,
-    quadratic_pressure_hat, to_physical, to_spectral, _zero_mode,
+    quadratic_pressure_hat, second_derivs, to_physical, to_spectral, _zero_mode,
 )
 from .stepping import ensure_finite, if_rk4_step
 
@@ -52,7 +52,6 @@ __all__ = [
     "WState", "cotangent_step", "grad_ell_sup",
 ]
 
-POTENTIAL_MODES = ("static", "dynamic")
 DEFAULT_DET_FLOOR = 0.1
 
 
@@ -145,15 +144,19 @@ def _check_det(det: np.ndarray, floor: float) -> None:
         raise NearSingularJacobianError(worst_val, point, floor)
 
 
-def _second_derivs(grid: Grid, hat: np.ndarray):
-    """Yield (k, j, block) for k <= j, block[m] = d_j d_k f_m, from the
-    spectrum of the vector f: one transform of ``dim`` scalars per block, so
-    the full second-derivative tensor is never held."""
-    tab = tables(grid)
-    d = grid.dim
-    for k in range(d):
-        for j in range(k, d):
-            yield k, j, to_physical(grid, -(tab.k[j] * tab.k[k]) * hat)
+def _label(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q[i, j] x_j: the label derivative (Q[i, j] d_j g) when x = grad g."""
+    return np.einsum("ij...,j...->i...", q, x)
+
+
+def _advection(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
+    """u_k d_k x from grad_x[k, ...] = d_k x, for a scalar or a vector x."""
+    return np.einsum("k...,k...->...", u, grad_x)
+
+
+def _advection_hat(grid: Grid, u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
+    """The stage term -dealias(FFT(u.grad x))."""
+    return -dealias_hat(grid, to_spectral(grid, _advection(u, grad_x)))
 
 
 def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
@@ -161,7 +164,7 @@ def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
     those of the periodic displacement)."""
     d = grid.dim
     c = np.zeros((d, d, d, *grid.shape))
-    for k, j, block in _second_derivs(grid, lhat):
+    for k, j, block in second_derivs(grid, lhat):
         for m in range(d):
             c[m, k] += q[:, j] * block[m]
             if j != k:
@@ -174,11 +177,11 @@ def _commutator_source(grid: Grid, q: np.ndarray, lhat: np.ndarray,
     """C[m, k; i] gv[k, m] without building C: Q[i, j] s_j with
     s_j = sum_{k, m} d_j d_k ell_m gv[k, m]."""
     s = np.zeros((grid.dim, *grid.shape))
-    for k, j, block in _second_derivs(grid, lhat):
+    for k, j, block in second_derivs(grid, lhat):
         s[j] += np.einsum("m...,m...->...", block, gv[k])
         if j != k:
             s[k] += np.einsum("m...,m...->...", block, gv[j])
-    return np.einsum("ij...,j...->i...", q, s)
+    return _label(q, s)
 
 
 def _cotangent(gl: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -257,7 +260,7 @@ def grad_ell_sup(ell: VectorField) -> float:
 # -- right-hand sides ---------------------------------------------------------
 
 def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None):
-    """Shared stage evaluation: returns (G_ell_hat, G_v_hat, u, uhat).
+    """Shared stage evaluation: returns (G_ell_hat, G_v_hat, u).
 
     G_* are the non-viscous right-hand sides in spectral space with every
     quadratic product dealiased; u is reconstructed from the dealiased
@@ -270,26 +273,21 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None):
     uhat = leray_hat(grid, what)
     u = to_physical(grid, uhat)
 
-    adv_l = np.einsum("i...,im...->m...", u, gl)
-    g_ell = -dealias_hat(grid, to_spectral(grid, adv_l)) - uhat
+    g_ell = _advection_hat(grid, u, gl) - uhat
 
     gv = to_physical(grid, grad_hat(grid, vhat))  # gv[k, m] = d_k v_m
-    adv_v = np.einsum("k...,km...->m...", u, gv)
-    g_v = -dealias_hat(grid, to_spectral(grid, adv_v))
+    g_v = _advection_hat(grid, u, gv)
     if nu > 0.0:
         source = _commutator_source(grid, q, lhat, gv)
         g_v += 2.0 * nu * dealias_hat(grid, to_spectral(grid, source))
     if force is not None:
-        g = np.einsum("ij...,j...->i...", q, force.components)
-        g_v += dealias_hat(grid, to_spectral(grid, g))
-    return g_ell, g_v, u, uhat
+        g_v += dealias_hat(grid, to_spectral(grid, _label(q, force.components)))
+    return g_ell, g_v, u
 
 
 def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
     """Dynamic-potential source: -u.grad n + R_iR_j(u^i u^j) - |u|^2/2 + c."""
-    gn = to_physical(grid, grad_hat(grid, nhat))
-    adv = np.einsum("j...,j...->...", u, gn)
-    out = -dealias_hat(grid, to_spectral(grid, adv))
+    out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat)))
     out += quadratic_pressure_hat(grid, u)
     out -= dealias_hat(grid, to_spectral(grid, 0.5 * np.sum(u * u, axis=0)))
     out[_zero_mode(grid)] = 0.0  # the free constant fixes a zero spatial mean
@@ -300,57 +298,38 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
 
 def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
              passive: tuple[ScalarField, ...]):
+    """Step the stack of rows ell, v[, n], passive scalars: one forward
+    transform of the stack, one inverse transform of the stepped stack."""
     grid = state.ell.grid
     d = grid.dim
     dynamic = state.potential_mode == "dynamic"
     force = None if forcing.is_zero else forcing.field(grid, state.t)
+    scalars = ([state.n_pot] if dynamic else []) + list(passive)
+    yhat = to_spectral(grid, np.concatenate(
+        [state.ell.components, state.v.components] + [s.values[None] for s in scalars]))
 
-    rows = 2 * d + (1 if dynamic else 0) + len(passive)
-    yhat = np.empty((rows, *tables(grid).kshape), dtype=complex)
-    yhat[:d] = to_spectral(grid, state.ell.components)
-    yhat[d:2 * d] = to_spectral(grid, state.v.components)
-    pos = 2 * d
-    if dynamic:
-        yhat[pos] = to_spectral(grid, state.n_pot.values)
-        pos += 1
-    for row, s in enumerate(passive):
-        yhat[pos + row] = to_spectral(grid, s.values)
+    passive_rows = range(2 * d + dynamic, len(yhat))
 
     def rhs(y, t):
         out = np.empty_like(y)
-        g_ell, g_v, u, _ = _stage_terms(grid, nu, y[:d], y[d:2 * d], force)
-        out[:d] = g_ell
-        out[d:2 * d] = g_v
-        row = 2 * d
+        out[:d], out[d:2 * d], u = _stage_terms(grid, nu, y[:d], y[d:2 * d], force)
         if dynamic:
-            out[row] = _potential_rhs_hat(grid, y[row], u)
-            row += 1
-        for extra in range(len(passive)):
-            gs = to_physical(grid, grad_hat(grid, y[row + extra]))
-            adv = np.einsum("j...,j...->...", u, gs)
-            out[row + extra] = -dealias_hat(grid, to_spectral(grid, adv))
+            out[2 * d] = _potential_rhs_hat(grid, y[2 * d], u)
+        for row in passive_rows:
+            out[row] = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, y[row])))
         return out, u
 
-    ynew = if_rk4_step(grid, yhat, state.t, dt, nu, rhs)
-
-    ell_new = to_physical(grid, ynew[:d])
-    v_new = to_physical(grid, ynew[d:2 * d])
-    ensure_finite(ell_new, "displacement", state.t + dt)
-    ensure_finite(v_new, "virtual velocity", state.t + dt)
-    ell_field = VectorField(grid, ell_new)
-    v_field = VectorField(grid, v_new)
-    if dynamic:
-        n_field = ScalarField(grid, to_physical(grid, ynew[2 * d]))
-    else:
-        _, n_field = reconstruct_u(ell_field, v_field)
+    ynew = to_physical(grid, if_rk4_step(grid, yhat, state.t, dt, nu, rhs))
+    ensure_finite(ynew[:d], "displacement", state.t + dt)
+    ensure_finite(ynew[d:2 * d], "virtual velocity", state.t + dt)
+    ell_field = VectorField(grid, ynew[:d])
+    v_field = VectorField(grid, ynew[d:2 * d])
+    rows = [ScalarField(grid, y) for y in ynew[2 * d:]]
+    n_field = rows.pop(0) if dynamic else reconstruct_u(ell_field, v_field)[1]
     new_state = ELState(state.t + dt, ell_field, v_field, n_field,
                         potential_mode=state.potential_mode,
                         reset_count=state.reset_count)
-
-    row = 2 * d + (1 if dynamic else 0)
-    passive_new = [ScalarField(grid, to_physical(grid, ynew[row + j]))
-                   for j in range(len(passive))]
-    return new_state, passive_new
+    return new_state, rows
 
 
 def el_step(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float) -> ELState:

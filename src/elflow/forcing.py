@@ -35,6 +35,8 @@ class ForcingSpec:
     second_weight: float = 0.5
 
     def __post_init__(self):
+        # a configuration document gives modes as a list
+        object.__setattr__(self, "modes", tuple(self.modes))
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown forcing kind {self.kind!r}; choose from {_KINDS}")
         if self.kind != "zero" and self.amplitude < 0:

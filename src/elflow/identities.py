@@ -20,15 +20,16 @@ import numpy as np
 
 from .el import (
     ELState, compute_C, compute_Q, derive, el_step_with_passive, grad_ell_sup,
-    initial_state, reconstruct_u, _commutator, _deformation, _grad_ell,
-    _second_derivs,
+    initial_state, reconstruct_u, _advection, _commutator, _deformation,
+    _grad_ell, _label,
 )
 from .fields import ScalarField, VectorField, l2_norm, sup_norm, integral
 from .forcing import ForcingSpec
-from .grid import Grid, tables
+from .grid import Grid
 from .initial import random_bandlimited, random_scalar
 from .spectral import (
-    deriv_hat, grad_hat, gradient, hessian, to_physical, to_spectral,
+    deriv_hat, grad_hat, gradient, hessian, jacobian, lap_hat, laplacian,
+    second_derivs, to_physical, to_spectral,
 )
 
 __all__ = [
@@ -107,11 +108,6 @@ def make_test_state(grid: Grid, seed: int, grad_inf: float) -> ELState:
     return state
 
 
-def _label_gradient(Q: np.ndarray, grad_g: np.ndarray) -> np.ndarray:
-    """(Q[i, j] d_j g): label derivative of a scalar from its gradient."""
-    return np.einsum("ij...,j...->i...", Q, grad_g)
-
-
 # -- algebraic identities --------------------------------------------------------
 
 def check_el_derivative_roundtrip(g: ScalarField, ell: VectorField) -> IdentityReport:
@@ -121,7 +117,7 @@ def check_el_derivative_roundtrip(g: ScalarField, ell: VectorField) -> IdentityR
     gA, q, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)),
                             CORPUS_DET_FLOOR)
     grad_g = gradient(g).components
-    lag = _label_gradient(q, grad_g)
+    lag = _label(q, grad_g)
     rhs = np.einsum("im...,m...->i...", gA, lag)
     scale = max(float(np.max(np.abs(grad_g))), _TINY)
     residual = np.max(np.abs(grad_g - rhs)) / scale
@@ -137,13 +133,13 @@ def check_commutator(g: ScalarField, ell: VectorField) -> IdentityReport:
     C = compute_C(ell, Q).components
     grad_g = gradient(g).components
     hess = hessian(g).components          # hess[j, k] = d_j d_k g
-    lag = _label_gradient(q, grad_g)
+    lag = _label(q, grad_g)
     lag_hat = to_spectral(grid, lag)
     worst = 0.0
     for k in range(grid.dim):
         # label_i(d_k g) is pointwise algebra on the exact Hessian;
         # d_k(label_i g) a spectral derivative of a non-band-limited product
-        comm = (_label_gradient(q, hess[:, k])
+        comm = (_label(q, hess[:, k])
                 - to_physical(grid, deriv_hat(grid, lag_hat, k)))
         rhs = np.einsum("mi...,m...->i...", C[:, k], lag)
         worst = max(worst, float(np.max(np.abs(comm - rhs))))
@@ -161,15 +157,11 @@ def check_product_rule(f: ScalarField, g: ScalarField, u: VectorField,
     grid = f.grid
 
     def spatial(s: ScalarField) -> np.ndarray:
-        grad_s = gradient(s).components
-        advect = np.einsum("j...,j...->...", u.components, grad_s)
-        k2 = tables(grid).k2
-        lap = to_physical(grid, -k2 * to_spectral(grid, s.values))
-        return advect - nu * lap
+        return _advection(u.components, gradient(s).components) - nu * laplacian(s).values
 
     fg = ScalarField(grid, f.values * g.values)
-    cross = np.einsum("j...,j...->...",
-                      gradient(f).components, gradient(g).components)
+    # (d_k f)(d_k g): the advection contraction with grad f in place of u
+    cross = _advection(gradient(f).components, gradient(g).components)
     lhs = spatial(fg)
     rhs = spatial(f) * g.values + f.values * spatial(g) - 2.0 * nu * cross
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), _TINY)
@@ -186,7 +178,7 @@ def check_braces(ell: VectorField) -> IdentityReport:
                             CORPUS_DET_FLOOR)
     C = compute_C(ell, compute_Q(ell, det_floor=CORPUS_DET_FLOOR)).components
     worst = scale = 0.0
-    for k, j, d2 in _second_derivs(grid, to_spectral(grid, ell.components)):
+    for k, j, d2 in second_derivs(grid, to_spectral(grid, ell.components)):
         # d2[r] = d_j d_k A^r is the right side for (i, q) = (j, k) and (k, j)
         for i, q in {(j, k), (k, j)}:
             lhs = np.einsum("m...,rm...->r...", gA[i], C[:, q])
@@ -203,10 +195,10 @@ def check_adjoint(f: ScalarField, g: ScalarField, ell: VectorField) -> IdentityR
     Q = compute_Q(ell, det_floor=CORPUS_DET_FLOOR)
     q = Q.components
     C = compute_C(ell, Q).components
-    lag_f = _label_gradient(q, gradient(f).components)
-    lag_g = _label_gradient(q, gradient(g).components)
+    lag_f = _label(q, gradient(f).components)
+    lag_g = _label(q, gradient(g).components)
     trace_c = np.einsum("pjp...->j...", C)
-    correction = np.einsum("ij...,j...->i...", q, trace_c)
+    correction = _label(q, trace_c)
     denom = (l2_norm(gradient(f)) * l2_norm(g) +
              l2_norm(f) * l2_norm(gradient(g)) + _TINY)
     worst = 0.0
@@ -224,7 +216,7 @@ def check_adjoint(f: ScalarField, g: ScalarField, ell: VectorField) -> IdentityR
 
 def _label_gradient_of(state: ELState, g: ScalarField) -> np.ndarray:
     q = compute_Q(state.ell, det_floor=CORPUS_DET_FLOOR).components
-    return _label_gradient(q, gradient(g).components)
+    return _label(q, gradient(g).components)
 
 
 def check_gamma_commutation(state: ELState, g: ScalarField, dt: float, *,
@@ -235,23 +227,19 @@ def check_gamma_commutation(state: ELState, g: ScalarField, dt: float, *,
     G(label_i g), realized with a centered time difference around the
     midpoint of two integrator steps; residual is O(dt^2).
     """
-    grid = state.ell.grid
     s1, (g1,) = el_step_with_passive(state, _NO_FORCING, dt, nu=nu, passive=(g,))
     s2, (g2,) = el_step_with_passive(s1, _NO_FORCING, dt, nu=nu, passive=(g1,))
 
     h0 = _label_gradient_of(state, g)
-    h1 = _label_gradient_of(s1, g1)
+    h1 = VectorField(s1.ell.grid, _label_gradient_of(s1, g1))
     h2 = _label_gradient_of(s2, g2)
 
     d1 = derive(s1)
     dt_h = (h2 - h0) / (2.0 * dt)
-    grad_h = to_physical(grid, grad_hat(grid, to_spectral(grid, h1)))  # [k, i]
-    advect = np.einsum("k...,ki...->i...", d1.u.components, grad_h)
-    k2 = tables(grid).k2
-    lap_h = to_physical(grid, -k2 * to_spectral(grid, h1))
-    gamma_h = dt_h + advect - nu * lap_h
+    advect = _advection(d1.u.components, jacobian(h1).components)
+    gamma_h = dt_h + advect - nu * laplacian(h1).components
 
-    grad_lag = to_physical(grid, grad_hat(grid, to_spectral(grid, h1)))  # [k, m]
+    grad_lag = jacobian(h1).components  # [k, m]
     rhs = 2.0 * nu * np.einsum("mki...,km...->i...", d1.C.components, grad_lag)
 
     scale = max(sup_norm(hessian(g1)) * max(sup_norm(d1.u), 1.0), _TINY)
@@ -275,14 +263,13 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     gu = to_physical(grid, grad_hat(grid, uhat))            # gu[k, l] = d_k u_l
     lag_gu = _commutator(grid, d0.Q.components, uhat)       # [l, k, i] = label_i(d_k u_l)
     del d0  # C, u and grad A are all that is read below
-    k2 = tables(grid).k2
 
     # one m at a time: C[m] is [k, i], and d_l C[m] is built one l at a time
     worst = scale = 0.0
     for m in range(grid.dim):
         cm_hat = to_spectral(grid, c0[m])
         gamma_c = (c1[m] - c0[m]) / dt
-        gamma_c -= nu * to_physical(grid, -k2 * cm_hat)
+        gamma_c -= nu * to_physical(grid, lap_hat(grid, cm_hat))
         term3 = np.zeros_like(gamma_c)
         for l in range(grid.dim):
             dl_cm = to_physical(grid, deriv_hat(grid, cm_hat, l))

@@ -73,6 +73,8 @@ def _plan_steps(cfg: RunConfig, u0: VectorField) -> tuple[int, float]:
         return steps, cfg.t_end / steps
     peak = max(sup_norm(u0), 1e-12)
     dt = cfg.cfl_target * u0.grid.spacing / peak
+    if not (dt > 0 and math.isfinite(cfg.t_end / dt)):
+        raise ConfigError("t_end / dt, the step count from cfl_target, is not finite")
     steps = max(1, math.ceil(cfg.t_end / dt))
     return steps, cfg.t_end / steps
 
@@ -127,11 +129,10 @@ def _drive(result: RunResult, u0: VectorField, step, sample) -> RunResult:
 
 
 def run_classical(cfg: RunConfig) -> RunResult:
-    forcing = cfg.forcing.build()
     u0 = _initial_velocity(cfg)
 
     def step(state, dt):
-        state = ns_step(state, forcing, dt, nu=cfg.nu)
+        state = ns_step(state, cfg.forcing, dt, nu=cfg.nu)
         return state, state.u
 
     def sample(state):
@@ -142,13 +143,12 @@ def run_classical(cfg: RunConfig) -> RunResult:
 
 
 def run_el(cfg: RunConfig, v0: VectorField | None = None) -> RunResult:
-    forcing = cfg.forcing.build()
     u0 = _initial_velocity(cfg)
     result = RunResult(cfg, "el", initial_state=initial_state(
         v0 if v0 is not None else u0, potential_mode=cfg.potential_mode))
 
     def step(state, dt):
-        state = el_step(state, forcing, dt, nu=cfg.nu)
+        state = el_step(state, cfg.forcing, dt, nu=cfg.nu)
         if cfg.reset.enabled and grad_ell_sup(state.ell) > RESET_THRESHOLD:
             state = reset_labels(state)
             result.resets.append(state.t)
@@ -156,18 +156,17 @@ def run_el(cfg: RunConfig, v0: VectorField | None = None) -> RunResult:
 
     def sample(state):
         d = derive(state)
-        return (record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=forcing),
+        return (record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing),
                 d.u, d.w)
 
     return _drive(result, u0, step, sample)
 
 
 def run_cotangent(cfg: RunConfig) -> RunResult:
-    forcing = cfg.forcing.build()
     u0 = _initial_velocity(cfg)
 
     def step(state, dt):
-        state = cotangent_step(state, forcing, dt, nu=cfg.nu)
+        state = cotangent_step(state, cfg.forcing, dt, nu=cfg.nu)
         return state, state.w
 
     def sample(state):
@@ -256,19 +255,18 @@ def _pair_dispersion(cfg: RunConfig, result: RunResult) -> DispersionReport:
     state: ELState = result.final_state
     return pair_dispersion(state.ell, grid.length / 8.0, cfg.mc.samples,
                            cfg.mc.seed, t=state.t, E0=result.records[0].energy,
-                           eps_B=cfg.forcing.build().eps_bound(cfg.nu, grid.length))
+                           eps_B=cfg.forcing.eps_bound(cfg.nu, grid.length))
 
 
 def bounds_suite(cfg: RunConfig, result: RunResult) -> dict:
     """Full bound report on an (unbroken) EL run; returns reports keyed by name."""
     _require_unbroken(cfg)
     grid = cfg.grid.build()
-    forcing = cfg.forcing.build()
     reports: dict = {}
-    reports["k_bounds"] = k_bounds(result.records, forcing, cfg.nu, grid)
-    reports["displacement"] = displacement_bounds(result.records, forcing,
+    reports["k_bounds"] = k_bounds(result.records, cfg.forcing, cfg.nu, grid)
+    reports["displacement"] = displacement_bounds(result.records, cfg.forcing,
                                                   cfg.nu, grid)
-    reports["epsilon"] = epsilon_bound(result.records, cfg.nu, grid, forcing)
+    reports["epsilon"] = epsilon_bound(result.records, cfg.nu, grid, cfg.forcing)
     reports["v_growth"] = [
         v_growth(result.records, nu=cfg.nu, grid=grid, m=m)
         for m in cfg.m_list
@@ -370,7 +368,7 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
     failure in a bound/identity suite. Configuration errors raise
     ``ConfigError`` for the CLI to map to exit code 1, before any step.
     """
-    if command == "bounds-report":
+    if command in ("bounds-report", "pair-dispersion"):
         _require_unbroken(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

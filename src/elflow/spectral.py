@@ -22,7 +22,7 @@ __all__ = [
     "to_spectral", "to_physical",
     "gradient", "jacobian", "divergence", "curl", "laplacian",
     "inverse_laplacian", "leray_project", "riesz_pressure", "dealias",
-    "resample", "hessian",
+    "resample", "hessian", "second_derivs",
 ]
 
 # FFTs stay single threaded: a second worker gave no gain at desk scale.
@@ -58,6 +58,20 @@ def grad_hat(grid: Grid, shat: np.ndarray) -> np.ndarray:
     for a in range(grid.dim):
         np.multiply(ik[a], shat, out=out[a])
     return out
+
+
+def lap_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
+    return -tables(grid).k2 * hat
+
+
+def second_derivs(grid: Grid, hat: np.ndarray):
+    """Yield (k, j, block) for k <= j, block[...] = d_j d_k f, from the
+    spectrum of f (leading axes are components): one inverse transform per
+    block, so the full second-derivative tensor is never held."""
+    wn = tables(grid).k
+    for k in range(grid.dim):
+        for j in range(k, grid.dim):
+            yield k, j, to_physical(grid, -(wn[j] * wn[k]) * hat)
 
 
 def div_hat(grid: Grid, vhat: np.ndarray) -> np.ndarray:
@@ -140,10 +154,8 @@ def curl(v: VectorField):
 
 def laplacian(f: ScalarField | VectorField):
     grid = f.grid
-    k2 = tables(grid).k2
-    if isinstance(f, ScalarField):
-        return ScalarField(grid, to_physical(grid, -k2 * to_spectral(grid, f.values)))
-    return VectorField(grid, to_physical(grid, -k2 * to_spectral(grid, f.components)))
+    data = f.values if isinstance(f, ScalarField) else f.components
+    return type(f)(grid, to_physical(grid, lap_hat(grid, to_spectral(grid, data))))
 
 
 def inverse_laplacian(s: ScalarField) -> ScalarField:
@@ -200,15 +212,9 @@ def dealias(field):
 def hessian(s: ScalarField) -> Tensor2Field:
     """Matrix of second derivatives d_j d_k s (symmetric)."""
     grid = s.grid
-    shat = to_spectral(grid, s.values)
-    k = tables(grid).k
-    d = grid.dim
-    out = np.empty((d, d, *grid.shape))
-    for j in range(d):
-        for kk in range(j, d):
-            val = to_physical(grid, -(k[j] * k[kk]) * shat)
-            out[j, kk] = val
-            out[kk, j] = val
+    out = np.empty((grid.dim, grid.dim, *grid.shape))
+    for k, j, block in second_derivs(grid, to_spectral(grid, s.values)):
+        out[k, j] = out[j, k] = block
     return Tensor2Field(grid, out)
 
 

@@ -195,10 +195,34 @@ class TestCLI:
                      "--out", str(tmp_path / "o")]) == 1
 
     def test_bounds_report_rejects_resets_before_any_step(self, tmp_path):
-        out = tmp_path / "o"
-        with pytest.raises(ConfigError):
-            execute(tiny_config(mode="el"), out, command="bounds-report")
-        assert not (out / "timeseries.csv").exists()
+        # both bound commands assume an unbroken run from t = 0
+        for command in ("bounds-report", "pair-dispersion"):
+            out = tmp_path / command
+            with pytest.raises(ConfigError):
+                execute(tiny_config(mode="el"), out, command=command)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"cfl_target": 1e-300, "t_end": 1e10},
+        {"cfl_target": 5e-324, "initial": {"amplitude": 10.0}},
+    ], ids=["infinite-step-count", "zero-step"])
+    def test_overflowing_cfl_step_count_exits_1(self, doc, tmp_path, capsys):
+        # the step comes from cfl_target and max|u0|, so validate cannot see it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"dim": 2, "n": 8}, "dt": None, **doc}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+
+    def test_out_path_that_is_a_file_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(mode="el").to_dict()))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "output"
 
     @pytest.mark.parametrize("doc", [
         {"grid": [2, 16]},
@@ -225,13 +249,16 @@ class TestCLI:
         {"dt": float("nan")},
         {"C0": 0},
         {"mc": {"delta0": 0}},
+        {"initial": {"mode": 0}},
+        {"initial": {"kind": "random_bandlimited", "band": 0}},
     ], ids=["grid-not-object", "nu-not-numeric", "flag-not-boolean",
             "no-identity-dts", "one-identity-dt", "one-mc-sample",
             "zero-cfl-limit", "zero-reset-threshold", "float-grid-n",
             "float-mc-samples", "fractional-cadence", "zero-cfl-target",
             "unknown-initial-kind", "abc-in-2d", "one-forcing-mode",
             "zero-forcing-mode", "infinite-t-end", "step-count-overflow",
-            "nan-nu", "nan-dt", "zero-C0", "zero-delta0"])
+            "nan-nu", "nan-dt", "zero-C0", "zero-delta0", "zero-initial-mode",
+            "zero-initial-band"])
     def test_malformed_config_is_a_config_error(self, doc, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
@@ -311,7 +338,7 @@ class TestCLI:
         assert any(not r["pass"] for r in rep["reports"])
 
     def test_pair_dispersion_command(self, tmp_path):
-        cfg = tiny_config(mode="el")
+        cfg = tiny_config(mode="el", reset=ResetConfig(enabled=False))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         out = tmp_path / "o"

@@ -51,7 +51,7 @@ def stage_rates(state, nu, force=None):
     k2 = tables(grid).k2
     lhat = to_spectral(grid, state.ell.components)
     vhat = to_spectral(grid, state.v.components)
-    g_ell, g_v, u, _ = _stage_terms(grid, nu, lhat, vhat, force)
+    g_ell, g_v, u = _stage_terms(grid, nu, lhat, vhat, force)
     rates = [to_physical(grid, g_ell - nu * k2 * lhat),
              to_physical(grid, g_v - nu * k2 * vhat)]
     if state.potential_mode == "dynamic":
@@ -307,6 +307,26 @@ class TestELStep:
             assert new_hi <= hi + 1e-10
             assert new_lo >= lo - 1e-10
             hi, lo = new_hi, new_lo
+
+    def test_stacked_rows_keep_their_layout(self, grid2d):
+        # one step stacks ell, v, n (dynamic mode) and the passive rows: the
+        # passive row of a dynamic step equals that of a static step bit for
+        # bit, and its n equals that of a dynamic step without the scalar
+        u0 = random_bandlimited(grid2d, 11)
+        force = ForcingSpec("single_mode", amplitude=0.3)
+        both = initial_state(u0, potential_mode="dynamic")
+        static, n_only = initial_state(u0), initial_state(u0, potential_mode="dynamic")
+        phi_both = phi_static = random_scalar(grid2d, 12)
+        for _ in range(3):
+            both, (phi_both,) = el_step_with_passive(both, force, 1e-3, nu=0.02,
+                                                     passive=(phi_both,))
+            static, (phi_static,) = el_step_with_passive(static, force, 1e-3, nu=0.02,
+                                                         passive=(phi_static,))
+            n_only = el_step(n_only, force, 1e-3, nu=0.02)
+            assert np.array_equal(phi_both.values, phi_static.values)
+            assert np.array_equal(both.n_pot.values, n_only.n_pot.values)
+            assert np.array_equal(both.v.components, n_only.v.components)
+        assert sup_norm(both.n_pot) > 0.0
 
     def test_cfl_violation(self, grid2d):
         state = initial_state(taylor_green(grid2d))
