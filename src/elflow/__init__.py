@@ -3,7 +3,7 @@ variables, a classical pseudo-spectral reference solver, identity
 certification and rigorous-bound diagnostics."""
 
 from .grid import Grid
-from .fields import ScalarField, VectorField, Tensor2Field, Tensor3Field
+from .fields import Field
 from .forcing import ForcingSpec
 from .classical import NSState, ns_step
 from .el import (
@@ -13,7 +13,7 @@ from .el import (
 from .config import RunConfig, load_config, preset
 
 __all__ = [
-    "Grid", "ScalarField", "VectorField", "Tensor2Field", "Tensor3Field",
+    "Grid", "Field",
     "ForcingSpec", "NSState", "ns_step",
     "ELState", "ELDerived", "WState", "initial_state", "compute_Q",
     "compute_C", "compute_w", "reconstruct_u", "derive", "el_step",

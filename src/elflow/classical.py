@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import VectorField
+from .fields import Field
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import (
@@ -25,17 +25,17 @@ __all__ = ["NSState", "ns_step"]
 @dataclass
 class NSState:
     t: float
-    u: VectorField
+    u: Field
 
 
-def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: VectorField | None):
+def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: Field | None):
     """P(dealias(-u.grad u) + f) in spectral space, and the velocity u."""
     u = to_physical(grid, uhat)
     jac = to_physical(grid, grad_hat(grid, uhat))  # jac[i, m] = d_i u_m
     adv = np.einsum("i...,im...->m...", u, jac)
     out = dealias_hat(grid, to_spectral(grid, -adv))
     if force is not None:
-        out = out + dealias_hat(grid, to_spectral(grid, force.components))
+        out = out + dealias_hat(grid, to_spectral(grid, force.data))
     return leray_hat(grid, out), u
 
 
@@ -51,8 +51,8 @@ def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NS
     def rhs(yhat, t):
         return _nonlinear_hat(grid, yhat, force)
 
-    uhat = to_spectral(grid, state.u.components)
+    uhat = to_spectral(grid, state.u.data)
     new_hat = if_rk4_step(grid, uhat, state.t, dt, nu, rhs)
     u_new = to_physical(grid, new_hat)
     ensure_finite(u_new, "velocity", state.t + dt)
-    return NSState(state.t + dt, VectorField(grid, u_new))
+    return NSState(state.t + dt, Field(grid, u_new))

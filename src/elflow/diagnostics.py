@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .classical import NSState
 from .el import ELDerived, ELState, _label
 from .errors import FieldCompatibilityError
-from .fields import VectorField, l2_norm, lp_norm, magnitude, sup_norm
+from .fields import Field, l2_norm, lp_norm, magnitude, sup_norm
 from .forcing import ForcingSpec
 from .grid import Grid
-from .spectral import curl, jacobian, laplacian
+from .spectral import curl, gradient, laplacian
 
 __all__ = [
     "TimeSeriesRecord", "BoundCheck", "KBoundsReport", "DispersionReport",
@@ -68,18 +68,18 @@ class TimeSeriesRecord:
     grad_lap_ell_l2: float | None = None
     grad_ell_inf: float | None = None
     c_l3: float | None = None
-    v_norms: dict[int, float] | None = None
-    g_norms: dict[int, float] | None = None
     helicity: float | None = None
     det_min: float | None = None
     det_max: float | None = None
     reset_count: int = 0
+    v_norms: dict[int, float] | None = None
+    g_norms: dict[int, float] | None = None
 
 
 def record_classical(state: NSState, nu: float) -> TimeSeriesRecord:
     u = state.u
     volume = u.grid.volume
-    grad_u = jacobian(u)
+    grad_u = gradient(u)
     return TimeSeriesRecord(
         t=state.t,
         energy=0.5 * l2_norm(u) ** 2 / volume,
@@ -92,16 +92,16 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
               m_list=(2, 3), forcing: ForcingSpec | None = None) -> TimeSeriesRecord:
     grid = state.ell.grid
     volume = grid.volume
-    grad_u = jacobian(derived.u)
-    grad_ell = jacobian(state.ell)
+    grad_u = gradient(derived.u)
+    grad_ell = gradient(state.ell)
     lap_ell = laplacian(state.ell)
-    grad_lap_ell = jacobian(lap_ell)
+    grad_lap_ell = gradient(lap_ell)
     c_mag = magnitude(derived.C)
     v_norms = {m: lp_norm(state.v, 2 * m) for m in m_list}
     g_norms = None
     if forcing is not None and not forcing.is_zero:
         f = forcing.field(grid, state.t)
-        g = VectorField(grid, _label(derived.Q.components, f.components))
+        g = Field(grid, _label(derived.Q.data, f.data))
         g_norms = {m: lp_norm(g, 2 * m) for m in m_list}
     hel = helicity(derived.w, derived.u) if grid.dim == 3 else None
     return TimeSeriesRecord(
@@ -120,17 +120,16 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
         v_norms=v_norms,
         g_norms=g_norms,
         helicity=hel,
-        det_min=float(np.min(derived.det.values)),
-        det_max=float(np.max(derived.det.values)),
+        det_min=float(np.min(derived.det.data)),
+        det_max=float(np.max(derived.det.data)),
         reset_count=state.reset_count,
     )
 
 
-CSV_COLUMNS = [
-    "t", "energy", "dissipation", "u_inf", "v_inf", "ell_inf", "ell_l2", "grad_ell_l2",
-    "lap_ell_l2", "grad_lap_ell_l2", "grad_ell_inf", "c_l3", "helicity",
-    "det_min", "det_max", "reset_count",
-]
+# One column per record field; the norm dictionaries (the last two fields)
+# expand to v_l{2m}/g_l{2m} columns instead.
+CSV_COLUMNS = [f.name for f in fields(TimeSeriesRecord)
+               if f.name not in ("v_norms", "g_norms")]
 
 
 def write_timeseries_csv(records, path, m_list=()) -> None:
@@ -427,7 +426,7 @@ class DispersionReport:
     note: str = ""
 
 
-def pair_dispersion(ell: VectorField, delta0: float, samples: int, seed: int, *,
+def pair_dispersion(ell: Field, delta0: float, samples: int, seed: int, *,
                     t: float, E0: float, eps_B: float) -> DispersionReport:
     """Monte-Carlo estimate of the restricted mean-square pair separation.
 
@@ -441,8 +440,7 @@ def pair_dispersion(ell: VectorField, delta0: float, samples: int, seed: int, *,
     grid = ell.grid
     rng = np.random.default_rng(seed)
     length = grid.length
-    shape = grid.shape
-    flat_ell = ell.components.reshape(grid.dim, -1)
+    flat_ell = ell.data.reshape(grid.dim, -1)
     n_points = flat_ell.shape[1]
     ix = rng.integers(0, n_points, size=samples)
     iy = rng.integers(0, n_points, size=samples)
@@ -518,10 +516,10 @@ def v_growth(records, *, nu: float, grid: Grid, m: int) -> VGrowthReport:
                          note="asserted only in 3D" if not dim3 else "")
 
 
-def helicity(w: VectorField, u: VectorField):
+def helicity(w: Field, u: Field):
     """int w . curl(u) dx in 3D; None in 2D (no vector vorticity)."""
     if u.grid.dim != 3:
         return None
     omega = curl(u)
-    return float(np.sum(w.components * omega.components)
+    return float(np.sum(w.data * omega.data)
                  / np.prod(u.grid.shape) * u.grid.volume)

@@ -33,10 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularJacobianError
-from .fields import (
-    ScalarField, Tensor2Field, Tensor3Field, VectorField, scalar_zeros,
-    vector_zeros,
-)
+from .fields import Field, sup_norm, zeros
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import (
@@ -58,9 +55,9 @@ DEFAULT_DET_FLOOR = 0.1
 @dataclass
 class ELState:
     t: float
-    ell: VectorField
-    v: VectorField
-    n_pot: ScalarField
+    ell: Field
+    v: Field
+    n_pot: Field
     potential_mode: str = "static"
     reset_count: int = 0
 
@@ -69,19 +66,19 @@ class ELState:
 class ELDerived:
     """Quantities derived pointwise/spectrally from one state (never cached)."""
 
-    grad_A: Tensor2Field
-    Q: Tensor2Field
-    C: Tensor3Field
-    u: VectorField
-    w: VectorField
-    n: ScalarField
-    det: ScalarField
+    grad_A: Field
+    Q: Field
+    C: Field
+    u: Field
+    w: Field
+    n: Field
+    det: Field
 
 
-def initial_state(u0: VectorField, potential_mode: str = "static") -> ELState:
+def initial_state(u0: Field, potential_mode: str = "static") -> ELState:
     """Fresh state at t = 0: zero displacement, v = u0, zero potential."""
     grid = u0.grid
-    return ELState(0.0, vector_zeros(grid), u0.copy(), scalar_zeros(grid),
+    return ELState(0.0, zeros(grid, 1), u0.copy(), zeros(grid, 0),
                    potential_mode=potential_mode)
 
 
@@ -145,7 +142,8 @@ def _check_det(det: np.ndarray, floor: float) -> None:
 
 
 def _label(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q[i, j] x_j: the label derivative (Q[i, j] d_j g) when x = grad g."""
+    """Q[i, j] x_j pointwise: the label derivative (Q[i, j] d_j g) when
+    x = grad g; ``_cotangent`` applies it to grad ell in place of Q."""
     return np.einsum("ij...,j...->i...", q, x)
 
 
@@ -178,31 +176,30 @@ def _commutator_source(grid: Grid, q: np.ndarray, lhat: np.ndarray,
     s_j = sum_{k, m} d_j d_k ell_m gv[k, m]."""
     s = np.zeros((grid.dim, *grid.shape))
     for k, j, block in second_derivs(grid, lhat):
-        s[j] += np.einsum("m...,m...->...", block, gv[k])
+        s[j] += _advection(block, gv[k])
         if j != k:
-            s[k] += np.einsum("m...,m...->...", block, gv[j])
+            s[k] += _advection(block, gv[j])
     return _label(q, s)
 
 
 def _cotangent(gl: np.ndarray, v: np.ndarray) -> np.ndarray:
     """w_i = (d_i A^m) v_m = v_i + (d_i ell_m) v_m."""
-    return v + np.einsum("im...,m...->i...", gl, v)
+    return v + _label(gl, v)
 
 
-def _project(w: VectorField) -> tuple[VectorField, ScalarField]:
+def _project(w: Field) -> tuple[Field, Field]:
     """u = w - grad n with laplacian(n) = div(w), zero-mean n: u = P(w)."""
     n = inverse_laplacian(divergence(w))
-    return VectorField(w.grid, w.components - gradient(n).components), n
+    return Field(w.grid, w.data - gradient(n).data), n
 
 
-def compute_Q(ell: VectorField, *, det_floor: float = DEFAULT_DET_FLOOR) -> Tensor2Field:
-    """Pointwise inverse of the deformation jacobian grad A = I + grad ell."""
-    grid = ell.grid
-    _, q, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)), det_floor)
-    return Tensor2Field(grid, q)
+def compute_Q(ell: Field, *, det_floor: float = DEFAULT_DET_FLOOR) -> Field:
+    """Pointwise inverse of the deformation Jacobian grad A = I + grad ell."""
+    _, q, _ = _deformation(gradient(ell).data, det_floor)
+    return Field(ell.grid, q)
 
 
-def compute_C(ell: VectorField, Q: Tensor2Field) -> Tensor3Field:
+def compute_C(ell: Field, Q: Field) -> Field:
     """Commutator coefficients C[m, k; i], the label derivative of d_k ell_m.
 
     With the conventions here (gradA[i, m] = d_i A_m and gradA @ Q = I
@@ -210,18 +207,15 @@ def compute_C(ell: VectorField, Q: Tensor2Field) -> Tensor3Field:
     C[m, k; i] = Q[i, j] d_j d_k A_m.
     """
     grid = ell.grid
-    return Tensor3Field(grid, _commutator(grid, Q.components,
-                                          to_spectral(grid, ell.components)))
+    return Field(grid, _commutator(grid, Q.data, to_spectral(grid, ell.data)))
 
 
-def compute_w(ell: VectorField, v: VectorField) -> VectorField:
+def compute_w(ell: Field, v: Field) -> Field:
     """Cotangent variable w_i = (d_i A^m) v_m = v_i + (d_i ell_m) v_m."""
-    grid = ell.grid
-    gl = _grad_ell(grid, to_spectral(grid, ell.components))
-    return VectorField(grid, _cotangent(gl, v.components))
+    return Field(ell.grid, _cotangent(gradient(ell).data, v.data))
 
 
-def reconstruct_u(ell: VectorField, v: VectorField) -> tuple[VectorField, ScalarField]:
+def reconstruct_u(ell: Field, v: Field) -> tuple[Field, Field]:
     """Velocity and potential from the state: the explicit-potential route.
 
     n solves laplacian(n) = div((grad A)^T v) with zero mean and
@@ -234,32 +228,31 @@ def reconstruct_u(ell: VectorField, v: VectorField) -> tuple[VectorField, Scalar
 def derive(state: ELState) -> ELDerived:
     """All derived quantities of a state; recomputed from scratch each call."""
     grid = state.ell.grid
-    lhat = to_spectral(grid, state.ell.components)
+    lhat = to_spectral(grid, state.ell.data)
     gl = _grad_ell(grid, lhat)
     gA, q, det = _deformation(gl, DEFAULT_DET_FLOOR)
     c = _commutator(grid, q, lhat)
-    w = VectorField(grid, _cotangent(gl, state.v.components))
+    w = Field(grid, _cotangent(gl, state.v.data))
     u, n = _project(w)
     return ELDerived(
-        grad_A=Tensor2Field(grid, gA),
-        Q=Tensor2Field(grid, q),
-        C=Tensor3Field(grid, c),
+        grad_A=Field(grid, gA),
+        Q=Field(grid, q),
+        C=Field(grid, c),
         u=u,
         w=w,
         n=n,
-        det=ScalarField(grid, det),
+        det=Field(grid, det),
     )
 
 
-def grad_ell_sup(ell: VectorField) -> float:
+def grad_ell_sup(ell: Field) -> float:
     """sup over points of the Frobenius norm of grad ell (reset monitor)."""
-    gl = _grad_ell(ell.grid, to_spectral(ell.grid, ell.components))
-    return float(np.max(np.sqrt(np.sum(gl**2, axis=(0, 1)))))
+    return sup_norm(gradient(ell))
 
 
 # -- right-hand sides ---------------------------------------------------------
 
-def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None):
+def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
     """Shared stage evaluation: returns (G_ell_hat, G_v_hat, u).
 
     G_* are the non-viscous right-hand sides in spectral space with every
@@ -281,7 +274,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: VectorField | None):
         source = _commutator_source(grid, q, lhat, gv)
         g_v += 2.0 * nu * dealias_hat(grid, to_spectral(grid, source))
     if force is not None:
-        g_v += dealias_hat(grid, to_spectral(grid, _label(q, force.components)))
+        g_v += dealias_hat(grid, to_spectral(grid, _label(q, force.data)))
     return g_ell, g_v, u
 
 
@@ -297,7 +290,7 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
 # -- time stepping ------------------------------------------------------------
 
 def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
-             passive: tuple[ScalarField, ...]):
+             passive: tuple[Field, ...]):
     """Step the stack of rows ell, v[, n], passive scalars: one forward
     transform of the stack, one inverse transform of the stepped stack."""
     grid = state.ell.grid
@@ -306,7 +299,7 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
     force = None if forcing.is_zero else forcing.field(grid, state.t)
     scalars = ([state.n_pot] if dynamic else []) + list(passive)
     yhat = to_spectral(grid, np.concatenate(
-        [state.ell.components, state.v.components] + [s.values[None] for s in scalars]))
+        [state.ell.data, state.v.data] + [s.data[None] for s in scalars]))
 
     passive_rows = range(2 * d + dynamic, len(yhat))
 
@@ -322,9 +315,9 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
     ynew = to_physical(grid, if_rk4_step(grid, yhat, state.t, dt, nu, rhs))
     ensure_finite(ynew[:d], "displacement", state.t + dt)
     ensure_finite(ynew[d:2 * d], "virtual velocity", state.t + dt)
-    ell_field = VectorField(grid, ynew[:d])
-    v_field = VectorField(grid, ynew[d:2 * d])
-    rows = [ScalarField(grid, y) for y in ynew[2 * d:]]
+    ell_field = Field(grid, ynew[:d])
+    v_field = Field(grid, ynew[d:2 * d])
+    rows = [Field(grid, y) for y in ynew[2 * d:]]
     n_field = rows.pop(0) if dynamic else reconstruct_u(ell_field, v_field)[1]
     new_state = ELState(state.t + dt, ell_field, v_field, n_field,
                         potential_mode=state.potential_mode,
@@ -345,7 +338,7 @@ def el_step(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float) -> EL
 
 
 def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
-                         nu: float, passive: tuple[ScalarField, ...]):
+                         nu: float, passive: tuple[Field, ...]):
     """Like ``el_step`` but co-evolves scalars by pure advection-diffusion."""
     return _advance(state, forcing, dt, nu=nu, passive=tuple(passive))
 
@@ -359,7 +352,7 @@ def reset_labels(state: ELState) -> ELState:
     grid = state.ell.grid
     w = compute_w(state.ell, state.v)
     _, n_new = _project(w)
-    return ELState(state.t, vector_zeros(grid), w, n_new,
+    return ELState(state.t, zeros(grid, 1), w, n_new,
                    potential_mode=state.potential_mode,
                    reset_count=state.reset_count + 1)
 
@@ -369,10 +362,10 @@ def reset_labels(state: ELState) -> ELState:
 @dataclass
 class WState:
     t: float
-    w: VectorField
+    w: Field
 
 
-def _cotangent_nonlinear_hat(grid: Grid, what, force: VectorField | None):
+def _cotangent_nonlinear_hat(grid: Grid, what, force: Field | None):
     uhat = leray_hat(grid, dealias_hat(grid, what))
     u = to_physical(grid, uhat)
     w = to_physical(grid, what)
@@ -382,7 +375,7 @@ def _cotangent_nonlinear_hat(grid: Grid, what, force: VectorField | None):
     stretch = np.einsum("ij...,j...->i...", gu, w)
     out = -dealias_hat(grid, to_spectral(grid, adv + stretch))
     if force is not None:
-        out += dealias_hat(grid, to_spectral(grid, force.components))
+        out += dealias_hat(grid, to_spectral(grid, force.data))
     return out, u
 
 
@@ -395,8 +388,8 @@ def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
     def rhs(yhat, t):
         return _cotangent_nonlinear_hat(grid, yhat, force)
 
-    what = to_spectral(grid, state.w.components)
+    what = to_spectral(grid, state.w.data)
     new_hat = if_rk4_step(grid, what, state.t, dt, nu, rhs)
     w_new = to_physical(grid, new_hat)
     ensure_finite(w_new, "cotangent variable", state.t + dt)
-    return WState(state.t + dt, VectorField(grid, w_new))
+    return WState(state.t + dt, Field(grid, w_new))

@@ -1,11 +1,13 @@
 """Sampled periodic fields and box-integral norms.
 
-Index conventions, used everywhere in the package:
+One type, ``Field``, holds a field of rank 0 to 3: ``data`` has shape
+``(dim,) * rank + grid.shape``. Index conventions, used everywhere in the
+package:
 
-* ``Tensor2Field.components[i, m]`` holds the (i, m) entry; for a Jacobian
+* a rank-2 field ``data[i, m]`` holds the (i, m) entry; for a Jacobian
   this is d_i v_m (derivative axis first, component second), so the
-  deformation jacobian is ``gradA[i, m] = d_i A_m``.
-* ``Tensor3Field.components[m, k, i]`` holds the commutator coefficients
+  deformation Jacobian is ``gradA[i, m] = d_i A_m``.
+* the rank-3 field ``data[m, k, i]`` holds the commutator coefficients
   ``C[m, k; i]``.
 
 Norms are unnormalized box integrals: ``l2_norm(f)**2 = int |f|^2 dx`` with
@@ -22,125 +24,66 @@ from .errors import FieldCompatibilityError
 from .grid import Grid
 
 __all__ = [
-    "ScalarField", "VectorField", "Tensor2Field", "Tensor3Field",
-    "scalar_zeros", "vector_zeros",
-    "magnitude", "integral", "mean", "sup_norm", "l2_norm", "lp_norm", "inner",
+    "Field", "zeros", "magnitude", "integral", "sup_norm", "l2_norm",
+    "lp_norm", "inner",
 ]
 
 
-def _as_values(arr, shape, what):
-    values = np.asarray(arr, dtype=np.float64)
-    if values.shape != shape:
-        raise FieldCompatibilityError(f"{what}: expected shape {shape}, got {values.shape}")
-    return values
-
-
 @dataclass
-class ScalarField:
+class Field:
+    """A field of rank 0 to 3 on ``grid``; the rank is read off ``data``'s shape."""
+
     grid: Grid
-    values: np.ndarray
+    data: np.ndarray  # (dim,) * rank + (n, n[, n])
 
     def __post_init__(self):
-        self.values = _as_values(self.values, self.grid.shape, "ScalarField")
+        self.data = np.asarray(self.data, dtype=np.float64)
+        rank = self.data.ndim - self.grid.dim
+        if not 0 <= rank <= 3 or self.data.shape != (self.grid.dim,) * rank + self.grid.shape:
+            raise FieldCompatibilityError(
+                f"Field: shape {self.data.shape} is not (dim,) * rank + "
+                f"{self.grid.shape} with rank 0 to 3")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+    @property
+    def rank(self) -> int:
+        return self.data.ndim - self.grid.dim
 
-
-@dataclass
-class VectorField:
-    grid: Grid
-    components: np.ndarray  # (dim, n, n[, n])
-
-    def __post_init__(self):
-        d = self.grid.dim
-        self.components = _as_values(self.components, (d, *self.grid.shape), "VectorField")
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.components.copy())
+    def copy(self) -> "Field":
+        return Field(self.grid, self.data.copy())
 
 
-@dataclass
-class Tensor2Field:
-    grid: Grid
-    components: np.ndarray  # (dim, dim, n, n[, n])
-
-    def __post_init__(self):
-        d = self.grid.dim
-        self.components = _as_values(self.components, (d, d, *self.grid.shape), "Tensor2Field")
-
-    def copy(self) -> "Tensor2Field":
-        return Tensor2Field(self.grid, self.components.copy())
+def zeros(grid: Grid, rank: int) -> Field:
+    return Field(grid, np.zeros((grid.dim,) * rank + grid.shape))
 
 
-@dataclass
-class Tensor3Field:
-    grid: Grid
-    components: np.ndarray  # (dim, dim, dim, n, n[, n])
-
-    def __post_init__(self):
-        d = self.grid.dim
-        self.components = _as_values(
-            self.components, (d, d, d, *self.grid.shape), "Tensor3Field"
-        )
-
-    def copy(self) -> "Tensor3Field":
-        return Tensor3Field(self.grid, self.components.copy())
-
-
-AnyField = ScalarField | VectorField | Tensor2Field | Tensor3Field
-
-
-def scalar_zeros(grid: Grid) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.shape))
-
-
-def vector_zeros(grid: Grid) -> VectorField:
-    return VectorField(grid, np.zeros((grid.dim, *grid.shape)))
-
-
-def _data(field: AnyField) -> np.ndarray:
-    return field.values if isinstance(field, ScalarField) else field.components
-
-
-def magnitude(field: AnyField) -> np.ndarray:
+def magnitude(field: Field) -> np.ndarray:
     """Pointwise Euclidean/Frobenius magnitude as a plain array."""
-    data = _data(field)
-    if isinstance(field, ScalarField):
-        return np.abs(data)
-    axes = tuple(range(data.ndim - field.grid.dim))
-    return np.sqrt(np.sum(data**2, axis=axes))
+    return np.sqrt(np.sum(field.data**2, axis=tuple(range(field.rank))))
 
 
-def integral(field: ScalarField) -> float:
+def integral(field: Field) -> float:
     """Box integral of a scalar field (exact for trigonometric polynomials)."""
-    return float(np.mean(field.values) * field.grid.volume)
+    return float(np.mean(field.data) * field.grid.volume)
 
 
-def mean(field: ScalarField) -> float:
-    return float(np.mean(field.values))
-
-
-def sup_norm(field: AnyField) -> float:
+def sup_norm(field: Field) -> float:
     """Sup over points of the pointwise magnitude."""
     return float(np.max(magnitude(field)))
 
 
-def l2_norm(field: AnyField) -> float:
-    data = _data(field)
+def l2_norm(field: Field) -> float:
     n_points = np.prod(field.grid.shape)
-    return float(np.sqrt(np.sum(data**2) / n_points * field.grid.volume))
+    return float(np.sqrt(np.sum(field.data**2) / n_points * field.grid.volume))
 
 
-def lp_norm(field: AnyField, p: float) -> float:
+def lp_norm(field: Field, p: float) -> float:
     """(int |f|^p dx)^(1/p) with |.| the pointwise magnitude."""
     mag = magnitude(field)
     return float((np.mean(mag**p) * field.grid.volume) ** (1.0 / p))
 
 
-def inner(a: AnyField, b: AnyField) -> float:
+def inner(a: Field, b: Field) -> float:
     """L2 inner product int sum_components a*b dx."""
-    da, db = _data(a), _data(b)
-    if da.shape != db.shape:
+    if a.data.shape != b.data.shape:
         raise FieldCompatibilityError("inner: mismatched field shapes")
-    return float(np.sum(da * db) / np.prod(a.grid.shape) * a.grid.volume)
+    return float(np.sum(a.data * b.data) / np.prod(a.grid.shape) * a.grid.volume)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import VectorField, vector_zeros
+from .fields import Field, zeros
 from .grid import Grid
 
 __all__ = ["ForcingSpec"]
@@ -48,10 +48,10 @@ class ForcingSpec:
     def is_zero(self) -> bool:
         return self.kind == "zero" or self.amplitude == 0.0
 
-    def field(self, grid: Grid, t: float = 0.0) -> VectorField:
+    def field(self, grid: Grid, t: float = 0.0) -> Field:
         """Sample the force at time t (the catalog is steady; t is ignored)."""
         if self.is_zero:
-            return vector_zeros(grid)
+            return zeros(grid, 1)
         x = grid.coords()
         out = np.zeros((grid.dim, *grid.shape))
         two_pi = 2.0 * np.pi / grid.length
@@ -61,7 +61,7 @@ class ForcingSpec:
             k1, k2 = self.modes
             out[0] = self.amplitude * np.sin(two_pi * k1 * x[1])
             out[1] = self.amplitude * self.second_weight * np.sin(two_pi * k2 * x[0])
-        return VectorField(grid, out)
+        return Field(grid, out)
 
     def mean_square(self) -> float:
         """F^2, independent of the box size."""

@@ -72,7 +72,7 @@ class SpectralTables:
         scale = 2.0 * np.pi / grid.length
         self.kshape = (n,) * (dim - 1) + (n // 2 + 1,)
 
-        index, index_full, k, k_full = [], [], [], []
+        index_full, k, k_full = [], [], []
         for axis in range(dim):
             if axis == dim - 1:
                 m = np.arange(n // 2 + 1, dtype=float)
@@ -82,7 +82,6 @@ class SpectralTables:
             shape[axis] = m.size
             m = m.reshape(shape)
             m_deriv = np.where(np.abs(m) == n // 2, 0.0, m)
-            index.append(m_deriv)
             index_full.append(m)
             k.append(scale * m_deriv)
             k_full.append(scale * m)

@@ -20,15 +20,14 @@ import numpy as np
 
 from .el import (
     ELState, compute_C, compute_Q, derive, el_step_with_passive, grad_ell_sup,
-    initial_state, reconstruct_u, _advection, _commutator, _deformation,
-    _grad_ell, _label,
+    initial_state, reconstruct_u, _advection, _commutator, _deformation, _label,
 )
-from .fields import ScalarField, VectorField, l2_norm, sup_norm, integral
+from .fields import Field, l2_norm, sup_norm, integral
 from .forcing import ForcingSpec
 from .grid import Grid
 from .initial import random_bandlimited, random_scalar
 from .spectral import (
-    deriv_hat, grad_hat, gradient, hessian, jacobian, lap_hat, laplacian,
+    deriv_hat, grad_hat, gradient, hessian, lap_hat, laplacian,
     second_derivs, to_physical, to_spectral,
 )
 
@@ -84,17 +83,17 @@ CORPUS_SPECTRAL_WIDTH = 2.0  # fast decay keeps Q's spectrum inside the band
 
 
 def random_displacement(grid: Grid, seed: int, grad_inf: float,
-                        band: int | None = None) -> VectorField:
+                        band: int | None = None) -> Field:
     """Band-limited displacement scaled to sup-Frobenius |grad ell| = grad_inf."""
     rng_seeds = np.random.default_rng(seed).integers(0, 2**31, size=grid.dim)
     comps = np.stack([
-        random_scalar(grid, int(s), band=band, width=CORPUS_SPECTRAL_WIDTH).values
+        random_scalar(grid, int(s), band=band, width=CORPUS_SPECTRAL_WIDTH).data
         for s in rng_seeds
     ])
-    ell = VectorField(grid, comps)
+    ell = Field(grid, comps)
     peak = grad_ell_sup(ell)
     if peak > 0:
-        ell.components *= grad_inf / peak
+        ell.data *= grad_inf / peak
     return ell
 
 
@@ -110,29 +109,27 @@ def make_test_state(grid: Grid, seed: int, grad_inf: float) -> ELState:
 
 # -- algebraic identities --------------------------------------------------------
 
-def check_el_derivative_roundtrip(g: ScalarField, ell: VectorField) -> IdentityReport:
+def check_el_derivative_roundtrip(g: Field, ell: Field) -> IdentityReport:
     """Eulerian derivatives recombine from label derivatives:
     d_i g = (d_i A_m)(label grad g)_m."""
-    grid = g.grid
-    gA, q, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)),
-                            CORPUS_DET_FLOOR)
-    grad_g = gradient(g).components
+    gA, q, _ = _deformation(gradient(ell).data, CORPUS_DET_FLOOR)
+    grad_g = gradient(g).data
     lag = _label(q, grad_g)
-    rhs = np.einsum("im...,m...->i...", gA, lag)
+    rhs = _label(gA, lag)
     scale = max(float(np.max(np.abs(grad_g))), _TINY)
     residual = np.max(np.abs(grad_g - rhs)) / scale
     return _report("el_derivative_roundtrip", residual,
                    TOLERANCES["el_derivative_roundtrip"], {"grad_g_inf": scale})
 
 
-def check_commutator(g: ScalarField, ell: VectorField) -> IdentityReport:
+def check_commutator(g: Field, ell: Field) -> IdentityReport:
     """[label_i, d_k] g = C[m, k; i] (label grad g)_m, for all (i, k)."""
     grid = g.grid
     Q = compute_Q(ell, det_floor=CORPUS_DET_FLOOR)
-    q = Q.components
-    C = compute_C(ell, Q).components
-    grad_g = gradient(g).components
-    hess = hessian(g).components          # hess[j, k] = d_j d_k g
+    q = Q.data
+    C = compute_C(ell, Q).data
+    grad_g = gradient(g).data
+    hess = hessian(g).data          # hess[j, k] = d_j d_k g
     lag = _label(q, grad_g)
     lag_hat = to_spectral(grid, lag)
     worst = 0.0
@@ -149,36 +146,35 @@ def check_commutator(g: ScalarField, ell: VectorField) -> IdentityReport:
                    {"hess_g_inf": scale})
 
 
-def check_product_rule(f: ScalarField, g: ScalarField, u: VectorField,
+def check_product_rule(f: Field, g: Field, u: Field,
                        nu: float = 0.05) -> IdentityReport:
     """Spatial part of the modified product rule for G = d_t + u.grad - nu lap:
     (u.grad - nu lap)(fg) - ((u.grad - nu lap)f) g - f ((u.grad - nu lap)g)
     + 2 nu (d_k f)(d_k g) = 0. The time part is Leibniz identically."""
     grid = f.grid
 
-    def spatial(s: ScalarField) -> np.ndarray:
-        return _advection(u.components, gradient(s).components) - nu * laplacian(s).values
+    def spatial(s: Field) -> np.ndarray:
+        return _advection(u.data, gradient(s).data) - nu * laplacian(s).data
 
-    fg = ScalarField(grid, f.values * g.values)
+    fg = Field(grid, f.data * g.data)
     # (d_k f)(d_k g): the advection contraction with grad f in place of u
-    cross = _advection(gradient(f).components, gradient(g).components)
+    cross = _advection(gradient(f).data, gradient(g).data)
     lhs = spatial(fg)
-    rhs = spatial(f) * g.values + f.values * spatial(g) - 2.0 * nu * cross
+    rhs = spatial(f) * g.data + f.data * spatial(g) - 2.0 * nu * cross
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), _TINY)
     residual = np.max(np.abs(lhs - rhs)) / scale
     return _report("product_rule", residual, TOLERANCES["product_rule"],
                    {"term_inf": scale})
 
 
-def check_braces(ell: VectorField) -> IdentityReport:
+def check_braces(ell: Field) -> IdentityReport:
     """(d_i A^m) C[r, q; m] = d_q d_i A^r (the cancellation behind the
     cotangent equation)."""
     grid = ell.grid
-    gA, _, _ = _deformation(_grad_ell(grid, to_spectral(grid, ell.components)),
-                            CORPUS_DET_FLOOR)
-    C = compute_C(ell, compute_Q(ell, det_floor=CORPUS_DET_FLOOR)).components
+    gA, _, _ = _deformation(gradient(ell).data, CORPUS_DET_FLOOR)
+    C = compute_C(ell, compute_Q(ell, det_floor=CORPUS_DET_FLOOR)).data
     worst = scale = 0.0
-    for k, j, d2 in second_derivs(grid, to_spectral(grid, ell.components)):
+    for k, j, d2 in second_derivs(grid, to_spectral(grid, ell.data)):
         # d2[r] = d_j d_k A^r is the right side for (i, q) = (j, k) and (k, j)
         for i, q in {(j, k), (k, j)}:
             lhs = np.einsum("m...,rm...->r...", gA[i], C[:, q])
@@ -188,24 +184,23 @@ def check_braces(ell: VectorField) -> IdentityReport:
     return _report("braces", residual, TOLERANCES["braces"], {"d2A_inf": scale})
 
 
-def check_adjoint(f: ScalarField, g: ScalarField, ell: VectorField) -> IdentityReport:
+def check_adjoint(f: Field, g: Field, ell: Field) -> IdentityReport:
     """Integration by parts for the label derivative:
     int (label_i f) g dx = int f (-(label_i g) + Q[i, j] C[p, j; p] g) dx."""
     grid = f.grid
     Q = compute_Q(ell, det_floor=CORPUS_DET_FLOOR)
-    q = Q.components
-    C = compute_C(ell, Q).components
-    lag_f = _label(q, gradient(f).components)
-    lag_g = _label(q, gradient(g).components)
+    q = Q.data
+    C = compute_C(ell, Q).data
+    lag_f = _label(q, gradient(f).data)
+    lag_g = _label(q, gradient(g).data)
     trace_c = np.einsum("pjp...->j...", C)
     correction = _label(q, trace_c)
     denom = (l2_norm(gradient(f)) * l2_norm(g) +
              l2_norm(f) * l2_norm(gradient(g)) + _TINY)
     worst = 0.0
     for i in range(grid.dim):
-        lhs = integral(ScalarField(grid, lag_f[i] * g.values))
-        rhs = integral(ScalarField(
-            grid, f.values * (-lag_g[i] + correction[i] * g.values)))
+        lhs = integral(Field(grid, lag_f[i] * g.data))
+        rhs = integral(Field(grid, f.data * (-lag_g[i] + correction[i] * g.data)))
         worst = max(worst, abs(lhs - rhs))
     residual = worst / denom
     return _report("adjoint", residual, TOLERANCES["adjoint"],
@@ -214,12 +209,12 @@ def check_adjoint(f: ScalarField, g: ScalarField, ell: VectorField) -> IdentityR
 
 # -- semi-discrete identities (G realized by time stepping) ----------------------
 
-def _label_gradient_of(state: ELState, g: ScalarField) -> np.ndarray:
-    q = compute_Q(state.ell, det_floor=CORPUS_DET_FLOOR).components
-    return _label(q, gradient(g).components)
+def _label_gradient_of(state: ELState, g: Field) -> np.ndarray:
+    q = compute_Q(state.ell, det_floor=CORPUS_DET_FLOOR).data
+    return _label(q, gradient(g).data)
 
 
-def check_gamma_commutation(state: ELState, g: ScalarField, dt: float, *,
+def check_gamma_commutation(state: ELState, g: Field, dt: float, *,
                             nu: float) -> IdentityReport:
     """[G, label_i] g = 2 nu C[m, k; i] d_k (label grad g)_m.
 
@@ -231,16 +226,16 @@ def check_gamma_commutation(state: ELState, g: ScalarField, dt: float, *,
     s2, (g2,) = el_step_with_passive(s1, _NO_FORCING, dt, nu=nu, passive=(g1,))
 
     h0 = _label_gradient_of(state, g)
-    h1 = VectorField(s1.ell.grid, _label_gradient_of(s1, g1))
+    h1 = Field(s1.ell.grid, _label_gradient_of(s1, g1))
     h2 = _label_gradient_of(s2, g2)
 
     d1 = derive(s1)
     dt_h = (h2 - h0) / (2.0 * dt)
-    advect = _advection(d1.u.components, jacobian(h1).components)
-    gamma_h = dt_h + advect - nu * laplacian(h1).components
+    advect = _advection(d1.u.data, gradient(h1).data)
+    gamma_h = dt_h + advect - nu * laplacian(h1).data
 
-    grad_lag = jacobian(h1).components  # [k, m]
-    rhs = 2.0 * nu * np.einsum("mki...,km...->i...", d1.C.components, grad_lag)
+    grad_lag = gradient(h1).data  # [k, m]
+    rhs = 2.0 * nu * np.einsum("mki...,km...->i...", d1.C.data, grad_lag)
 
     scale = max(sup_norm(hessian(g1)) * max(sup_norm(d1.u), 1.0), _TINY)
     residual = np.max(np.abs(gamma_h - rhs)) / scale
@@ -255,13 +250,13 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     grid = state.ell.grid
     # step first and keep only the stepped C, so the step's working set and
     # the derived fields of the start state are never held together
-    c1 = derive(el_step_with_passive(state, _NO_FORCING, dt, nu=nu, passive=())[0]).C.components
+    c1 = derive(el_step_with_passive(state, _NO_FORCING, dt, nu=nu, passive=())[0]).C.data
     d0 = derive(state)
-    c0, u, gA = d0.C.components, d0.u.components, d0.grad_A.components
+    c0, u, gA = d0.C.data, d0.u.data, d0.grad_A.data
 
     uhat = to_spectral(grid, u)
     gu = to_physical(grid, grad_hat(grid, uhat))            # gu[k, l] = d_k u_l
-    lag_gu = _commutator(grid, d0.Q.components, uhat)       # [l, k, i] = label_i(d_k u_l)
+    lag_gu = _commutator(grid, d0.Q.data, uhat)       # [l, k, i] = label_i(d_k u_l)
     del d0  # C, u and grad A are all that is read below
 
     # one m at a time: C[m] is [k, i], and d_l C[m] is built one l at a time
@@ -298,12 +293,12 @@ def check_Z_stability(states) -> IdentityReport:
     for state in states:
         d = derive(state)
         grid = state.ell.grid
-        z = np.einsum("im...,mj...->ij...", d.grad_A.components, d.Q.components)
+        z = np.einsum("im...,mj...->ij...", d.grad_A.data, d.Q.data)
         for i in range(grid.dim):
             z[i, i] -= 1.0
         worst = max(worst, float(np.max(np.abs(z))))
-        det_min = min(det_min, float(np.min(d.det.values)))
-        det_max = max(det_max, float(np.max(d.det.values)))
+        det_min = min(det_min, float(np.min(d.det.data)))
+        det_max = max(det_max, float(np.max(d.det.data)))
     return _report("z_stability", worst, TOLERANCES["z_stability"],
                    {"det_min": det_min, "det_max": det_max})
 
@@ -316,7 +311,7 @@ def run_identity_suite(grid: Grid, *, seed: int = 1,
 
     The corpus displacements have sup |grad ell| = 0.01, 0.05 and 0.2; the
     G-identities take one step of 2e-3. Canonical desk grids: n = 64 in 2D,
-    n = 48 in 3D. Coarser grids cannot resolve the inverse-jacobian spectrum
+    n = 48 in 3D. Coarser grids cannot resolve the inverse-Jacobian spectrum
     of the largest-amplitude corpus entry to the commutator tolerance.
     """
     dt = 2e-3

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScalarField, VectorField
+from .fields import Field, sup_norm
 from .grid import Grid, tables
 from .spectral import leray_project, to_physical, to_spectral
 
@@ -12,7 +12,7 @@ __all__ = ["make_initial", "taylor_green", "abc_flow", "random_bandlimited",
            "random_scalar"]
 
 
-def taylor_green(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> VectorField:
+def taylor_green(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> Field:
     """Classical Taylor-Green vortex (2D exact decaying solution; 3D standard IC)."""
     kappa = 2.0 * np.pi * mode / grid.length
     x = grid.coords()
@@ -23,10 +23,10 @@ def taylor_green(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> VectorFie
     else:
         out[0] = amplitude * np.sin(kappa * x[0]) * np.cos(kappa * x[1]) * np.cos(kappa * x[2])
         out[1] = -amplitude * np.cos(kappa * x[0]) * np.sin(kappa * x[1]) * np.cos(kappa * x[2])
-    return VectorField(grid, out)
+    return Field(grid, out)
 
 
-def abc_flow(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> VectorField:
+def abc_flow(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> Field:
     """Beltrami ABC flow with A = B = C = amplitude; curl u = (2 pi mode / L) u."""
     if grid.dim != 3:
         raise ConfigError("abc initial condition requires dim = 3")
@@ -38,7 +38,7 @@ def abc_flow(grid: Grid, amplitude: float = 1.0, mode: int = 1) -> VectorField:
         a * np.sin(kappa * x) + a * np.cos(kappa * z),
         a * np.sin(kappa * y) + a * np.cos(kappa * x),
     ])
-    return VectorField(grid, out)
+    return Field(grid, out)
 
 
 def _band_envelope(grid: Grid, band: int, width: float | None) -> np.ndarray:
@@ -54,7 +54,7 @@ def _band_envelope(grid: Grid, band: int, width: float | None) -> np.ndarray:
 
 
 def random_scalar(grid: Grid, seed: int, *, band: int | None = None,
-                  width: float | None = None) -> ScalarField:
+                  width: float | None = None) -> Field:
     """Zero-mean, unit-RMS random scalar, band-limited to ``band`` (default n//4).
 
     ``width`` sets the Gaussian spectral decay inside the band (default
@@ -68,27 +68,26 @@ def random_scalar(grid: Grid, seed: int, *, band: int | None = None,
     scale = float(np.sqrt(np.mean(values**2)))
     if scale > 0:
         values *= 1.0 / scale   # not values / scale: artifacts depend on the last bit
-    return ScalarField(grid, values)
+    return Field(grid, values)
 
 
 def random_bandlimited(grid: Grid, seed: int, *, band: int | None = None,
                        width: float | None = None,
-                       amplitude: float = 1.0) -> VectorField:
+                       amplitude: float = 1.0) -> Field:
     """Random divergence-free velocity with sup |u| = amplitude."""
     band = grid.n // 4 if band is None else band
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((grid.dim, *grid.shape))
     hat = to_spectral(grid, white) * _band_envelope(grid, band, width)
-    u = leray_project(VectorField(grid, to_physical(grid, hat)))
-    mag = np.sqrt(np.sum(u.components**2, axis=0))
-    peak = float(np.max(mag))
+    u = leray_project(Field(grid, to_physical(grid, hat)))
+    peak = sup_norm(u)
     if peak > 0:
-        u.components *= amplitude / peak
+        u.data *= amplitude / peak
     return u
 
 
 def make_initial(kind: str, grid: Grid, seed: int = 0, *, amplitude: float = 1.0,
-                 band: int | None = None, mode: int = 1) -> VectorField:
+                 band: int | None = None, mode: int = 1) -> Field:
     if kind == "taylor_green":
         return taylor_green(grid, amplitude, mode)
     if kind == "abc":

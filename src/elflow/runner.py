@@ -32,7 +32,7 @@ from .el import (
     initial_state, reset_labels,
 )
 from .errors import ConfigError, ElflowError, BlowUpError
-from .fields import ScalarField, VectorField, l2_norm, magnitude, sup_norm
+from .fields import Field, l2_norm, magnitude, sup_norm
 from .identities import run_identity_suite, check_gamma_commutation, \
     check_C_evolution, make_test_state
 from .initial import make_initial, random_scalar
@@ -65,7 +65,7 @@ class RunResult:
     failure: dict | None = None
 
 
-def _plan_steps(cfg: RunConfig, u0: VectorField) -> tuple[int, float]:
+def _plan_steps(cfg: RunConfig, u0: Field) -> tuple[int, float]:
     if cfg.dt is not None:
         steps = max(1, round(cfg.t_end / cfg.dt))
         if abs(steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
@@ -79,20 +79,20 @@ def _plan_steps(cfg: RunConfig, u0: VectorField) -> tuple[int, float]:
     return steps, cfg.t_end / steps
 
 
-def _guard_rms(u: VectorField, initial_rms: float, t: float) -> None:
-    rms = float(np.sqrt(np.mean(u.components**2)))
+def _guard_rms(u: Field, initial_rms: float, t: float) -> None:
+    rms = float(np.sqrt(np.mean(u.data**2)))
     if rms > RMS_BLOWUP_FACTOR * max(initial_rms, 1e-300):
         raise BlowUpError(
             f"velocity RMS grew {rms / initial_rms:.3g}x past the initial value", t=t)
 
 
-def _initial_velocity(cfg: RunConfig) -> VectorField:
+def _initial_velocity(cfg: RunConfig) -> Field:
     return make_initial(cfg.initial.kind, cfg.grid.build(), cfg.initial.seed,
                         amplitude=cfg.initial.amplitude, band=cfg.initial.band,
                         mode=cfg.initial.mode)
 
 
-def _drive(result: RunResult, u0: VectorField, step, sample) -> RunResult:
+def _drive(result: RunResult, u0: Field, step, sample) -> RunResult:
     """The step loop every solver runs, from ``result.initial_state``.
 
     ``step(state, dt)`` returns the next state and the field the RMS guard
@@ -103,7 +103,7 @@ def _drive(result: RunResult, u0: VectorField, step, sample) -> RunResult:
     """
     cfg = result.config
     steps, dt = _plan_steps(cfg, u0)
-    initial_rms = float(np.sqrt(np.mean(u0.components**2)))
+    initial_rms = float(np.sqrt(np.mean(u0.data**2)))
 
     def record(state):
         rec, u, w = sample(state)
@@ -142,7 +142,7 @@ def run_classical(cfg: RunConfig) -> RunResult:
                   u0, step, sample)
 
 
-def run_el(cfg: RunConfig, v0: VectorField | None = None) -> RunResult:
+def run_el(cfg: RunConfig, v0: Field | None = None) -> RunResult:
     u0 = _initial_velocity(cfg)
     result = RunResult(cfg, "el", initial_state=initial_state(
         v0 if v0 is not None else u0, potential_mode=cfg.potential_mode))
@@ -177,7 +177,7 @@ def run_cotangent(cfg: RunConfig) -> RunResult:
                   u0, step, sample)
 
 
-def gauge_twin_initial(cfg: RunConfig) -> VectorField:
+def gauge_twin_initial(cfg: RunConfig) -> Field:
     """u0 plus the gradient of a random scalar with matched L2 gradient norm.
 
     The scalar is kept well inside the dealias cutoff (band n/8, fast
@@ -191,8 +191,8 @@ def gauge_twin_initial(cfg: RunConfig) -> VectorField:
     dphi = gradient(phi)
     norm = l2_norm(dphi)
     if norm > 0:
-        dphi.components *= l2_norm(u0) / norm
-    return VectorField(grid, u0.components + dphi.components)
+        dphi.data *= l2_norm(u0) / norm
+    return Field(grid, u0.data + dphi.data)
 
 
 @dataclass
@@ -221,7 +221,7 @@ def compare_runs(a: RunResult, b: RunResult, kind: str = "") -> CompareReport:
         raise ConfigError("compare_runs: mismatched sample times")
     rel_l2, rel_linf = [], []
     for ua, ub in zip(a.u_series, b.u_series):
-        diff = VectorField(ua.grid, ua.components - ub.components)
+        diff = Field(ua.grid, ua.data - ub.data)
         ref_l2 = max(l2_norm(ub), 1e-300)
         ref_inf = max(sup_norm(ub), 1e-300)
         rel_l2.append(l2_norm(diff) / ref_l2)
@@ -230,7 +230,7 @@ def compare_runs(a: RunResult, b: RunResult, kind: str = "") -> CompareReport:
     if kind == "cotangent" and a.w_series and b.w_series:
         w_rel = []
         for wa, wb in zip(a.w_series, b.w_series):
-            diff = VectorField(wa.grid, wa.components - wb.components)
+            diff = Field(wa.grid, wa.data - wb.data)
             w_rel.append(l2_norm(diff) / max(l2_norm(wb), 1e-300))
     return CompareReport(
         kind=kind, times=list(a.times), rel_l2=rel_l2, rel_linf=rel_linf,
@@ -327,7 +327,7 @@ def _emit_snapshots(outdir: Path, result: RunResult) -> None:
             d = derive(state)
             fields = {"ell": state.ell, "v": state.v, "u": d.u, "n": d.n,
                       "w": d.w, "det_grad_A": d.det,
-                      "C_magnitude": ScalarField(state.ell.grid, magnitude(d.C))}
+                      "C_magnitude": Field(state.ell.grid, magnitude(d.C))}
         elif isinstance(state, WState):
             fields = {"w": state.w, "u": leray_project(state.w)}
         else:
@@ -366,24 +366,23 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
 
     0 success, 2 solver failure (partial artifacts emitted), 3 assertion
     failure in a bound/identity suite. Configuration errors raise
-    ``ConfigError`` for the CLI to map to exit code 1, before any step.
+    ``ConfigError`` for the CLI to map to exit code 1, before any step or
+    output directory.
     """
     if command in ("bounds-report", "pair-dispersion"):
         _require_unbroken(cfg)
+    if command != "verify-identities" and cfg.dt is None:
+        # the step count from cfl_target needs u0; a fixed dt was checked by validate
+        _plan_steps(cfg, _initial_velocity(cfg))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     if command == "verify-identities":
         payload = identity_suite_with_orders(cfg)
-        reports = payload["reports"]
         _write_json(outdir / "config.json", cfg.to_dict())
-        _write_json(outdir / "report_identities.json", {
-            "reports": reports,
-            "orders": payload["orders"],
-            "orders_pass": payload["orders_pass"],
-        })
+        _write_json(outdir / "report_identities.json", payload)
         _manifest(outdir, cfg)
-        ok = all(r.passed for r in reports) and payload["orders_pass"]
+        ok = all(r.passed for r in payload["reports"]) and payload["orders_pass"]
         return 0 if ok else 3
 
     if command in ("bounds-report", "pair-dispersion"):

@@ -13,18 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FieldCompatibilityError
-from .fields import ScalarField, VectorField, Tensor2Field, Tensor3Field
+from .fields import Field
 from .grid import Grid
 
 __all__ = ["write_snapshot", "read_snapshot"]
 
 
-def write_snapshot(path, field, *, time: float, name: str) -> None:
+def write_snapshot(path, field: Field, *, time: float, name: str) -> None:
     grid = field.grid
-    if isinstance(field, ScalarField):
-        data = field.values[np.newaxis]
-    else:
-        data = field.components.reshape(-1, *grid.shape)
+    data = field.data.reshape(-1, *grid.shape)
     header = {
         "dim": grid.dim,
         "n": grid.n,
@@ -41,7 +38,7 @@ def write_snapshot(path, field, *, time: float, name: str) -> None:
 def read_snapshot(path):
     """Load a snapshot; returns ``(field, header_dict)``.
 
-    The field type is recovered from the component count: 1 scalar,
+    The field rank is recovered from the component count: 1 scalar,
     dim vector, dim^2 rank-2, dim^3 rank-3. A malformed file raises
     ``FieldCompatibilityError``.
     """
@@ -69,16 +66,7 @@ def _parse(raw: bytes):
         raise FieldCompatibilityError(
             f"snapshot payload has {data.size} values, expected {expected}"
         )
-    data = data.reshape(ncomp, *grid.shape)
-    d = grid.dim
-    if ncomp == 1:
-        field = ScalarField(grid, data[0])
-    elif ncomp == d:
-        field = VectorField(grid, data)
-    elif ncomp == d * d:
-        field = Tensor2Field(grid, data.reshape(d, d, *grid.shape))
-    elif ncomp == d * d * d:
-        field = Tensor3Field(grid, data.reshape(d, d, d, *grid.shape))
-    else:
-        raise FieldCompatibilityError(f"cannot map {ncomp} components to a field type")
-    return field, header
+    ranks = {grid.dim**rank: rank for rank in range(4)}
+    if ncomp not in ranks:
+        raise FieldCompatibilityError(f"cannot map {ncomp} components to a field rank")
+    return Field(grid, data.reshape((grid.dim,) * ranks[ncomp] + grid.shape)), header

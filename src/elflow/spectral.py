@@ -7,7 +7,7 @@ fields are the caller's responsibility to dealias.
 
 The array-level helpers (suffix ``_hat``) operate on spectral arrays whose
 last ``dim`` axes follow the rfftn layout; leading axes are treated as
-component axes. Field-level operations wrap them behind the public types.
+component axes. Field-level operations wrap them behind ``Field``.
 """
 from __future__ import annotations
 
@@ -15,12 +15,12 @@ import numpy as np
 import scipy.fft
 
 from .errors import FieldCompatibilityError
-from .fields import ScalarField, VectorField, Tensor2Field
+from .fields import Field
 from .grid import Grid, tables
 
 __all__ = [
     "to_spectral", "to_physical",
-    "gradient", "jacobian", "divergence", "curl", "laplacian",
+    "gradient", "divergence", "curl", "laplacian",
     "inverse_laplacian", "leray_project", "riesz_pressure", "dealias",
     "resample", "hessian", "second_derivs",
 ]
@@ -117,63 +117,56 @@ def dealias_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
 
 # -- field-level operations ---------------------------------------------------
 
-def gradient(s: ScalarField) -> VectorField:
-    """Spectral gradient; exact for band-limited input, each component zero-mean."""
-    grid = s.grid
-    return VectorField(grid, to_physical(grid, grad_hat(grid, to_spectral(grid, s.values))))
+def gradient(f: Field) -> Field:
+    """Spectral gradient of a field of any rank; prepends the derivative
+    axis, so the entry (i, m) of a vector's gradient is d_i v_m. Exact for
+    band-limited input, each component zero-mean."""
+    grid = f.grid
+    return Field(grid, to_physical(grid, grad_hat(grid, to_spectral(grid, f.data))))
 
 
-def jacobian(v: VectorField) -> Tensor2Field:
-    """Componentwise gradient with entry (i, m) = d_i v_m."""
+def divergence(v: Field) -> Field:
     grid = v.grid
-    vhat = to_spectral(grid, v.components)
-    out = to_physical(grid, grad_hat(grid, vhat))  # (i, m, ...)
-    return Tensor2Field(grid, out)
+    return Field(grid, to_physical(grid, div_hat(grid, to_spectral(grid, v.data))))
 
 
-def divergence(v: VectorField) -> ScalarField:
+def curl(v: Field):
+    """Curl: a vector field in 3D, the scalar d_1 v_2 - d_2 v_1 in 2D."""
     grid = v.grid
-    return ScalarField(grid, to_physical(grid, div_hat(grid, to_spectral(grid, v.components))))
-
-
-def curl(v: VectorField):
-    """Curl: a VectorField in 3D, the scalar d_1 v_2 - d_2 v_1 in 2D."""
-    grid = v.grid
-    vhat = to_spectral(grid, v.components)
+    vhat = to_spectral(grid, v.data)
     k = tables(grid).k
     if grid.dim == 2:
         what = 1j * (k[0] * vhat[1] - k[1] * vhat[0])
-        return ScalarField(grid, to_physical(grid, what))
+        return Field(grid, to_physical(grid, what))
     out = np.stack([
         1j * (k[1] * vhat[2] - k[2] * vhat[1]),
         1j * (k[2] * vhat[0] - k[0] * vhat[2]),
         1j * (k[0] * vhat[1] - k[1] * vhat[0]),
     ])
-    return VectorField(grid, to_physical(grid, out))
+    return Field(grid, to_physical(grid, out))
 
 
-def laplacian(f: ScalarField | VectorField):
+def laplacian(f: Field) -> Field:
     grid = f.grid
-    data = f.values if isinstance(f, ScalarField) else f.components
-    return type(f)(grid, to_physical(grid, lap_hat(grid, to_spectral(grid, data))))
+    return Field(grid, to_physical(grid, lap_hat(grid, to_spectral(grid, f.data))))
 
 
-def inverse_laplacian(s: ScalarField) -> ScalarField:
+def inverse_laplacian(s: Field) -> Field:
     """Unique zero-mean solution of laplacian(n) = s; input must be zero-mean."""
-    rms = float(np.sqrt(np.mean(s.values**2)))
-    m = float(np.mean(s.values))
+    rms = float(np.sqrt(np.mean(s.data**2)))
+    m = float(np.mean(s.data))
     if abs(m) > 1e-10 * max(rms, 1e-300):
         raise FieldCompatibilityError(
             f"inverse_laplacian needs zero-mean input: mean={m:.3e}, rms={rms:.3e}"
         )
     grid = s.grid
-    return ScalarField(grid, to_physical(grid, poisson_hat(grid, to_spectral(grid, s.values))))
+    return Field(grid, to_physical(grid, poisson_hat(grid, to_spectral(grid, s.data))))
 
 
-def leray_project(v: VectorField) -> VectorField:
+def leray_project(v: Field) -> Field:
     """Orthogonal projection onto divergence-free fields (means preserved)."""
     grid = v.grid
-    return VectorField(grid, to_physical(grid, leray_hat(grid, to_spectral(grid, v.components))))
+    return Field(grid, to_physical(grid, leray_hat(grid, to_spectral(grid, v.data))))
 
 
 def quadratic_pressure_hat(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -193,39 +186,36 @@ def quadratic_pressure_hat(grid: Grid, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def riesz_pressure(u: VectorField, c: float = 0.0) -> ScalarField:
+def riesz_pressure(u: Field, c: float = 0.0) -> Field:
     """Pressure R_i R_j(u^i u^j) + c of a divergence-free velocity."""
     grid = u.grid
-    values = to_physical(grid, quadratic_pressure_hat(grid, u.components)) + c
-    return ScalarField(grid, values)
+    values = to_physical(grid, quadratic_pressure_hat(grid, u.data)) + c
+    return Field(grid, values)
 
 
-def dealias(field):
+def dealias(field: Field) -> Field:
     """2/3-rule truncation: modes with any |index| above n//3 are zeroed."""
     grid = field.grid
-    if isinstance(field, ScalarField):
-        return ScalarField(grid, to_physical(grid, dealias_hat(grid, to_spectral(grid, field.values))))
-    data = to_physical(grid, dealias_hat(grid, to_spectral(grid, field.components)))
-    return type(field)(grid, data)
+    return Field(grid, to_physical(grid, dealias_hat(grid, to_spectral(grid, field.data))))
 
 
-def hessian(s: ScalarField) -> Tensor2Field:
+def hessian(s: Field) -> Field:
     """Matrix of second derivatives d_j d_k s (symmetric)."""
     grid = s.grid
     out = np.empty((grid.dim, grid.dim, *grid.shape))
-    for k, j, block in second_derivs(grid, to_spectral(grid, s.values)):
+    for k, j, block in second_derivs(grid, to_spectral(grid, s.data)):
         out[k, j] = out[j, k] = block
-    return Tensor2Field(grid, out)
+    return Field(grid, out)
 
 
-def resample(field, n_new: int):
+def resample(field: Field, n_new: int) -> Field:
     """Re-sample a field on a grid with ``n_new`` points per axis.
 
     Spectral zero-padding (or truncation), exact for band-limited fields.
     """
     grid = field.grid
     fine = Grid(grid.dim, n_new, grid.length)
-    data = field.values if isinstance(field, ScalarField) else field.components
+    data = field.data
     hat = scipy.fft.fftn(data, axes=tuple(range(-grid.dim, 0)), workers=_WORKERS)
     half = min(grid.n, n_new) // 2
     src = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(int)
@@ -237,7 +227,5 @@ def resample(field, n_new: int):
     idx_put = np.ix_(*([put] * grid.dim))
     new_hat[(Ellipsis, *idx_put)] = hat[(Ellipsis, *idx_take)]
     new_hat *= (n_new / grid.n) ** grid.dim
-    data_new = scipy.fft.ifftn(new_hat, axes=tuple(range(-grid.dim, 0)), workers=_WORKERS).real
-    if isinstance(field, ScalarField):
-        return ScalarField(fine, data_new)
-    return type(field)(fine, data_new)
+    return Field(fine, scipy.fft.ifftn(new_hat, axes=tuple(range(-grid.dim, 0)),
+                                       workers=_WORKERS).real)

@@ -13,7 +13,7 @@ from elflow.config import (
     GridConfig, InitialConfig, MCConfig, ResetConfig, RunConfig, preset,
 )
 from elflow.el import derive, el_step, initial_state, reset_labels
-from elflow.fields import VectorField, l2_norm, sup_norm
+from elflow.fields import Field, l2_norm, sup_norm
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import run_identity_suite
@@ -198,12 +198,12 @@ class TestCriterion7ResetInvariance:
                 before = derive(forced).u
                 forced = reset_labels(forced)
                 after = derive(forced).u
-                instant_change = sup_norm(VectorField(
-                    grid, after.components - before.components)) / sup_norm(before)
+                instant_change = sup_norm(Field(
+                    grid, after.data - before.data)) / sup_norm(before)
         final_plain = derive(plain).u
         final_forced = derive(forced).u
-        final_diff = l2_norm(VectorField(
-            grid, final_plain.components - final_forced.components)) \
+        final_diff = l2_norm(Field(
+            grid, final_plain.data - final_forced.data)) \
             / l2_norm(final_plain)
         ok_instant = instant_change < 1e-12
         ok_final = final_diff < 1e-5

@@ -214,6 +214,7 @@ class TestCLI:
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not (tmp_path / "o").exists()
 
     def test_out_path_that_is_a_file_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -296,6 +297,14 @@ class TestCLI:
         assert reports
         assert ({frozenset(r) for r in reports}
                 == {frozenset(documented_keys("identity reports"))})
+
+    def test_timeseries_header_is_the_documented_one(self, tmp_path):
+        cfg = tiny_config(mode="el", m_list=(2, 3))
+        assert execute(cfg, tmp_path / "o") == 0
+        header = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()[0].split(",")
+        norms = [f"{p}_l{2 * m}" for p in "vg" for m in cfg.m_list]
+        assert header[len(header) - len(norms):] == norms
+        assert set(header[:len(header) - len(norms)]) == documented_keys("columns")
 
     @pytest.mark.parametrize("mode", ["classical", "el", "cotangent", "compare"])
     def test_cfl_failure_exits_2_with_partial_artifacts(self, mode, tmp_path):

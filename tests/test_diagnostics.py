@@ -14,7 +14,7 @@ from elflow.diagnostics import (
 )
 from elflow.el import derive, el_step, initial_state, reset_labels
 from elflow.errors import FieldCompatibilityError
-from elflow.fields import VectorField, vector_zeros, l2_norm
+from elflow.fields import Field, l2_norm, zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import random_displacement
@@ -42,7 +42,7 @@ def run_el_history(grid, nu, forcing, steps, dt, *, amplitude=0.2, every=10,
 
 class TestRecord:
     def test_zero_velocity(self, grid2d):
-        rec = record_classical(NSState(0.0, vector_zeros(grid2d)), nu=0.1)
+        rec = record_classical(NSState(0.0, zeros(grid2d, 1)), nu=0.1)
         assert rec.energy == 0.0 and rec.dissipation == 0.0
 
     def test_single_mode_closed_form(self, grid3d):
@@ -52,7 +52,7 @@ class TestRecord:
         kappa = TWO_PI / grid3d.length
         comps = np.zeros((3, *grid3d.shape))
         comps[0] = a * np.sin(kappa * x[1])
-        rec = record_classical(NSState(0.0, VectorField(grid3d, comps)), nu=nu)
+        rec = record_classical(NSState(0.0, Field(grid3d, comps)), nu=nu)
         assert np.isclose(rec.energy, a**2 / 4.0, rtol=1e-12)
         assert np.isclose(rec.dissipation, nu * kappa**2 * 2 * rec.energy, rtol=1e-12)
 
@@ -222,7 +222,7 @@ class TestEpsilonBound:
 
 class TestPairDispersion:
     def test_identity_map_under_bound(self, grid2d):
-        ell = vector_zeros(grid2d)
+        ell = zeros(grid2d, 1)
         delta0 = grid2d.length / 8
         rep = pair_dispersion(ell, delta0, 20000, 3, t=0.0, E0=0.5, eps_B=0.0)
         assert rep.mean_square_separation <= delta0**2
@@ -234,7 +234,7 @@ class TestPairDispersion:
         ell = random_displacement(g, 11, 0.2)
         delta0 = g.length / 4
         coords = np.stack([c.reshape(-1) for c in g.coords()])
-        flat = ell.components.reshape(2, -1)
+        flat = ell.data.reshape(2, -1)
         npts = coords.shape[1]
         dx = coords[:, :, None] - coords[:, None, :]
         dx -= g.length * np.round(dx / g.length)
@@ -255,7 +255,7 @@ class TestPairDispersion:
         assert 0.7 < se1 / (2 * se2) < 1.4
 
     def test_small_sample_warning(self, grid2d):
-        rep = pair_dispersion(vector_zeros(grid2d), 0.5, 500, 1, t=0.0,
+        rep = pair_dispersion(zeros(grid2d, 1), 0.5, 500, 1, t=0.0,
                               E0=0.5, eps_B=0.0)
         assert "WARNING" in rep.note
 
@@ -302,8 +302,8 @@ class TestHelicity:
     def test_gradient_component_contributes_nothing(self, grid3d):
         u = abc_flow(grid3d, amplitude=0.5)
         phi = random_scalar(grid3d, 3)
-        w_shifted = VectorField(grid3d,
-                                u.components + gradient(phi).components)
+        w_shifted = Field(grid3d,
+                                u.data + gradient(phi).data)
         assert np.isclose(helicity(w_shifted, u), helicity(u, u), rtol=1e-10)
 
     def test_2d_not_applicable(self, grid2d):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elflow.errors import ConfigError
-from elflow.fields import l2_norm, sup_norm, VectorField
+from elflow.fields import l2_norm, sup_norm, Field
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.initial import abc_flow, make_initial, random_bandlimited, taylor_green
@@ -28,10 +28,10 @@ class TestForcingCatalog:
     def test_divergence_free_and_band_limited(self, grid3d, kind, kwargs):
         f = ForcingSpec(kind, **kwargs)
         field = f.field(grid3d)
-        rms = np.sqrt(np.mean(field.components**2))
+        rms = np.sqrt(np.mean(field.data**2))
         assert sup_norm(divergence(field)) < 1e-12 * rms
         trimmed = dealias(field)
-        assert np.max(np.abs(trimmed.components - field.components)) < 1e-12
+        assert np.max(np.abs(trimmed.data - field.data)) < 1e-12
 
     def test_single_mode_closed_forms_match_quadrature(self, grid3d):
         a, k = 0.9, 2
@@ -55,9 +55,9 @@ class TestForcingCatalog:
         from elflow.grid import tables
         from elflow.spectral import to_spectral, to_physical
         tab = tables(grid2d)
-        hat = to_spectral(grid2d, field.components)
+        hat = to_spectral(grid2d, field.data)
         half = np.sqrt(tab.inv_k2) * hat
-        quad_g2 = l2_norm(VectorField(grid2d, to_physical(grid2d, half))) ** 2 \
+        quad_g2 = l2_norm(Field(grid2d, to_physical(grid2d, half))) ** 2 \
             / grid2d.volume
         assert np.isclose(f.g_square(grid2d.length), quad_g2, rtol=1e-12)
 
@@ -73,14 +73,14 @@ class TestInitialConditions:
 
     def test_taylor_green_3d(self, grid3d):
         u = taylor_green(grid3d, amplitude=0.5)
-        rms = np.sqrt(np.mean(u.components**2))
+        rms = np.sqrt(np.mean(u.data**2))
         assert sup_norm(divergence(u)) < 1e-12 * rms
 
     def test_abc_is_beltrami(self, grid3d):
         u = abc_flow(grid3d, amplitude=0.7, mode=1)
         kappa = TWO_PI / grid3d.length
         omega = curl(u)
-        assert np.max(np.abs(omega.components - kappa * u.components)) < 1e-12
+        assert np.max(np.abs(omega.data - kappa * u.data)) < 1e-12
 
     def test_abc_needs_3d(self, grid2d):
         with pytest.raises(ConfigError):
@@ -90,15 +90,15 @@ class TestInitialConditions:
     def test_random_bandlimited_divergence_free(self, seed):
         g = Grid(2, 16, TWO_PI)
         u = random_bandlimited(g, seed)
-        rms = max(np.sqrt(np.mean(u.components**2)), 1e-12)
+        rms = max(np.sqrt(np.mean(u.data**2)), 1e-12)
         assert sup_norm(divergence(u)) < 1e-11 * rms
 
     def test_random_seed_reproducible(self, grid3d):
         a = make_initial("random_bandlimited", grid3d, seed=123)
         b = make_initial("random_bandlimited", grid3d, seed=123)
-        assert np.array_equal(a.components, b.components)
+        assert np.array_equal(a.data, b.data)
         c = make_initial("random_bandlimited", grid3d, seed=124)
-        assert not np.array_equal(a.components, c.components)
+        assert not np.array_equal(a.data, c.data)
 
     def test_amplitude_scaling(self, grid2d):
         u = make_initial("random_bandlimited", grid2d, seed=3, amplitude=0.25)

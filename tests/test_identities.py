@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from elflow.el import compute_C, compute_Q, el_step, initial_state
-from elflow.fields import ScalarField, VectorField, vector_zeros
+from elflow.fields import Field, zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import (
@@ -29,13 +29,13 @@ def shear(grid, eps):
     x = grid.coords()
     comps = np.zeros((grid.dim, *grid.shape))
     comps[0] = eps * np.sin(TWO_PI / grid.length * x[1])
-    return VectorField(grid, comps)
+    return Field(grid, comps)
 
 
 class TestRoundtrip:
     def test_zero_displacement_exact(self, grid2d):
         rep = check_el_derivative_roundtrip(corpus_scalar(grid2d, 1),
-                                            vector_zeros(grid2d))
+                                            zeros(grid2d, 1))
         assert rep.residual < 1e-14
 
     def test_single_mode(self, grid2d):
@@ -51,7 +51,7 @@ class TestRoundtrip:
 
 class TestCommutator:
     def test_zero_displacement_both_sides_vanish(self, grid2d):
-        rep = check_commutator(corpus_scalar(grid2d, 1), vector_zeros(grid2d))
+        rep = check_commutator(corpus_scalar(grid2d, 1), zeros(grid2d, 1))
         assert rep.residual < 1e-13
 
     def test_nilpotent_shear(self):
@@ -75,10 +75,10 @@ class TestCommutator:
 
         grid = grid2d
         Q = compute_Q(ell, det_floor=0.05)
-        q = Q.components
-        c = compute_C(ell, Q).components
-        dg = gradient(g).components
-        hess = hessian(g).components
+        q = Q.data
+        c = compute_C(ell, Q).data
+        dg = gradient(g).data
+        hess = hessian(g).data
         lag = np.stack([sum(q[i, j] * dg[j] for j in reversed(range(2)))
                         for i in range(2)])
         dlag = to_physical(grid, grad_hat(grid, to_spectral(grid, lag)))
@@ -95,7 +95,7 @@ class TestCommutator:
 
 class TestProductRule:
     def test_constant_factor(self, grid2d):
-        const = ScalarField(grid2d, np.full(grid2d.shape, 1.7))
+        const = Field(grid2d, np.full(grid2d.shape, 1.7))
         rep = check_product_rule(const, corpus_scalar(grid2d, 1),
                                  random_bandlimited(grid2d, 2), nu=0.05)
         assert rep.residual < 1e-12
@@ -103,8 +103,8 @@ class TestProductRule:
     def test_single_modes(self, grid2d):
         x, y = grid2d.coords()
         kappa = TWO_PI / grid2d.length
-        f = ScalarField(grid2d, np.sin(kappa * x))
-        g = ScalarField(grid2d, np.cos(kappa * y))
+        f = Field(grid2d, np.sin(kappa * x))
+        g = Field(grid2d, np.cos(kappa * y))
         rep = check_product_rule(f, g, taylor_green(grid2d), nu=0.1)
         assert rep.residual < 1e-10
 
@@ -121,7 +121,7 @@ class TestProductRule:
 class TestAdjoint:
     def test_zero_displacement_plain_integration_by_parts(self, grid2d):
         rep = check_adjoint(corpus_scalar(grid2d, 1), corpus_scalar(grid2d, 2),
-                            vector_zeros(grid2d))
+                            zeros(grid2d, 1))
         assert rep.residual < 1e-12
 
     def test_single_mode(self, grid2d):
@@ -145,17 +145,17 @@ class TestAdjoint:
 
         grid = grid2d
         Q = compute_Q(ell, det_floor=0.05)
-        q = Q.components
-        c = compute_C(ell, Q).components
-        df, dg = gradient(f).components, gradient(g).components
+        q = Q.data
+        c = compute_C(ell, Q).data
+        df, dg = gradient(f).data, gradient(g).data
         worst = 0.0
         for i in reversed(range(2)):      # permuted component loop
             lag_f = sum(q[i, j] * df[j] for j in reversed(range(2)))
             lag_g = sum(q[i, j] * dg[j] for j in reversed(range(2)))
             corr = sum(q[i, j] * sum(c[p, j, p] for p in reversed(range(2)))
                        for j in reversed(range(2)))
-            lhs = integral(ScalarField(grid, lag_f * g.values))
-            rhs = integral(ScalarField(grid, f.values * (-lag_g + corr * g.values)))
+            lhs = integral(Field(grid, lag_f * g.data))
+            rhs = integral(Field(grid, f.data * (-lag_g + corr * g.data)))
             worst = max(worst, abs(lhs - rhs))
         denom = (l2_norm(gradient(f)) * l2_norm(g)
                  + l2_norm(f) * l2_norm(gradient(g)))
@@ -200,7 +200,7 @@ class TestCEvolution:
 
     def test_zero_velocity_keeps_C_frozen_up_to_diffusion(self, grid2d):
         state = make_test_state(grid2d, 3, 0.1)
-        state.v = vector_zeros(grid2d)
+        state.v = zeros(grid2d, 1)
         rep = check_C_evolution(state, 2e-3, nu=0.05)
         assert rep.passed
 

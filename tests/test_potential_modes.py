@@ -4,7 +4,7 @@ the physical pressure."""
 import numpy as np
 
 from elflow.el import derive, el_step, initial_state
-from elflow.fields import ScalarField, l2_norm
+from elflow.fields import Field, l2_norm
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid, tables
 from elflow.initial import taylor_green
@@ -28,9 +28,9 @@ class TestDynamicPotential:
             state = el_step(state, ZERO, dt, nu=nu)
             if step % 50 == 0:
                 static_n = derive(state).n
-                diff = zero_mean(state.n_pot.values) - static_n.values
+                diff = zero_mean(state.n_pot.data) - static_n.data
                 scale = max(l2_norm(static_n), 1e-12)
-                worst = max(worst, l2_norm(ScalarField(g, diff)) / scale)
+                worst = max(worst, l2_norm(Field(g, diff)) / scale)
         assert worst < 1e-6, worst
 
     def test_pressure_recovery(self):
@@ -45,20 +45,20 @@ class TestDynamicPotential:
         window = [state]
         for _ in range(2):
             window.append(el_step(window[-1], ZERO, dt, nu=nu))
-        prev_n, mid, next_n = (s.n_pot.values for s in window)
+        prev_n, mid, next_n = (s.n_pot.data for s in window)
         mid_state = window[1]
         d = derive(mid_state)
-        u = d.u.components
+        u = d.u.data
 
         dn_dt = (next_n - prev_n) / (2 * dt)
-        grad_n = gradient(mid_state.n_pot).components
+        grad_n = gradient(mid_state.n_pot).data
         advect = np.einsum("j...,j...->...", u, grad_n)
         k2 = tables(g).k2
-        lap_n = to_physical(g, -k2 * to_spectral(g, mid_state.n_pot.values))
+        lap_n = to_physical(g, -k2 * to_spectral(g, mid_state.n_pot.data))
         gamma_n = dn_dt + advect - nu * lap_n
 
         recovered = zero_mean(gamma_n + 0.5 * np.sum(u * u, axis=0))
-        expected = riesz_pressure(d.u, 0.0).values
+        expected = riesz_pressure(d.u, 0.0).data
         scale = max(np.max(np.abs(expected)), 1e-12)
         assert np.max(np.abs(recovered - expected)) / scale < 1e-5
 
@@ -67,4 +67,4 @@ class TestDynamicPotential:
         state = initial_state(taylor_green(g), potential_mode="dynamic")
         for _ in range(50):
             state = el_step(state, ZERO, 1e-3, nu=0.02)
-        assert abs(np.mean(state.n_pot.values)) < 1e-12
+        assert abs(np.mean(state.n_pot.data)) < 1e-12
