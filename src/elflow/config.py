@@ -112,8 +112,8 @@ class RunConfig:
             raise ConfigError("t_end / dt, the step count, overflows")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
-        if any(m < 2 for m in self.m_list):
-            raise ConfigError("m_list entries must be integers >= 2")
+        if any(m < 2 for m in self.m_list) or len(set(self.m_list)) < len(self.m_list):
+            raise ConfigError("m_list entries must be distinct integers >= 2")
         try:
             self.grid.build()
         except ValueError as exc:   # the grid carries its own diagnostics

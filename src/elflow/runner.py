@@ -7,7 +7,7 @@ stable serialization. Artifacts per output directory:
 * ``timeseries.csv``   one diagnostics row per cadence step,
 * ``snapshots/``       binary field snapshots (initial and final state),
 * ``report_*.json``    comparison / bound / identity / dispersion reports,
-* ``failure.json``     present only if the solver aborted mid-run,
+* ``failure.json``     present only if a solver aborted mid-run,
 * ``manifest.json``    config hash plus a content hash of every file above.
 """
 from __future__ import annotations
@@ -40,8 +40,9 @@ from .snapshots import write_snapshot
 from .spectral import gradient, leray_project
 
 __all__ = [
-    "RunResult", "CompareReport", "run_classical", "run_el", "run_cotangent",
-    "compare_runs", "execute", "bounds_suite", "identity_suite_with_orders",
+    "RunResult", "CompareReport", "initial_velocity", "run_classical", "run_el",
+    "run_cotangent", "compare_runs", "execute", "bounds_suite",
+    "identity_suite_with_orders",
 ]
 
 RMS_BLOWUP_FACTOR = 1e6
@@ -60,7 +61,8 @@ class RunResult:
     u_series: list = field(default_factory=list)
     w_series: list = field(default_factory=list)
     resets: list = field(default_factory=list)
-    initial_state: object = None
+    # "initial"/"final" -> (t, the named fields that solver's snapshots write)
+    snapshots: dict = field(default_factory=dict)
     final_state: object = None
     failure: dict | None = None
 
@@ -80,72 +82,79 @@ def _plan_steps(cfg: RunConfig, u0: Field) -> tuple[int, float]:
 
 
 def _guard_rms(u: Field, initial_rms: float, t: float) -> None:
+    """A flow that starts from rest has no reference RMS and is not guarded."""
     rms = float(np.sqrt(np.mean(u.data**2)))
-    if rms > RMS_BLOWUP_FACTOR * max(initial_rms, 1e-300):
+    if initial_rms > 0 and rms > RMS_BLOWUP_FACTOR * initial_rms:
         raise BlowUpError(
             f"velocity RMS grew {rms / initial_rms:.3g}x past the initial value", t=t)
 
 
-def _initial_velocity(cfg: RunConfig) -> Field:
+def initial_velocity(cfg: RunConfig) -> Field:
+    """The configured u0; ``execute`` builds it once per command."""
     return make_initial(cfg.initial.kind, cfg.grid.build(), cfg.initial.seed,
                         amplitude=cfg.initial.amplitude, band=cfg.initial.band,
                         mode=cfg.initial.mode)
 
 
-def _drive(result: RunResult, u0: Field, step, sample) -> RunResult:
-    """The step loop every solver runs, from ``result.initial_state``.
+def _failure(exc: ElflowError, solver: str, t: float | None) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc), "t": t, "solver": solver}
+
+
+def _drive(result: RunResult, state, u0: Field, step, sample) -> RunResult:
+    """The step loop every solver runs, from ``state``.
 
     ``step(state, dt)`` returns the next state and the field the RMS guard
-    watches; ``sample(state)`` returns a diagnostics record, the velocity and
-    the cotangent field (None for the classical solver). The step count and
-    the RMS reference come from ``u0``. A solver error ends the run and is
-    kept in ``result.failure`` with the name of the solver.
+    watches; ``sample(state)`` returns a diagnostics record and the named
+    fields of the state's snapshots, among them the velocity ``u`` and, for
+    the EL and cotangent solvers, the cotangent field ``w``. The step count
+    and the RMS reference come from ``u0``. Only the fields of the first and
+    of the final sample are kept. A solver error ends the run and is kept in
+    ``result.failure`` with the name of the solver; the last state it reached
+    is then sampled for its snapshot fields, without a record.
     """
     cfg = result.config
     steps, dt = _plan_steps(cfg, u0)
     initial_rms = float(np.sqrt(np.mean(u0.data**2)))
 
     def record(state):
-        rec, u, w = sample(state)
+        rec, fields = sample(state)
         result.records.append(rec)
         result.times.append(state.t)
-        result.u_series.append(u)
-        if w is not None:
-            result.w_series.append(w)
+        result.u_series.append(fields["u"])
+        if "w" in fields:
+            result.w_series.append(fields["w"])
+        return state.t, fields
 
-    state = result.initial_state
-    record(state)
+    result.snapshots["initial"] = record(state)
     try:
         for i in range(1, steps + 1):
             state, watched = step(state, dt)
             _guard_rms(watched, initial_rms, state.t)
-            if i % cfg.cadence == 0 or i == steps:
+            if i == steps:
+                result.snapshots["final"] = record(state)
+            elif i % cfg.cadence == 0:
                 record(state)
     except ElflowError as exc:
-        result.failure = {"error": type(exc).__name__, "message": str(exc),
-                          "t": state.t, "solver": result.kind}
+        result.failure = _failure(exc, result.kind, state.t)
+        result.snapshots["final"] = state.t, sample(state)[1]
     result.final_state = state
     return result
 
 
-def run_classical(cfg: RunConfig) -> RunResult:
-    u0 = _initial_velocity(cfg)
-
+def run_classical(cfg: RunConfig, u0: Field) -> RunResult:
     def step(state, dt):
         state = ns_step(state, cfg.forcing, dt, nu=cfg.nu)
         return state, state.u
 
     def sample(state):
-        return record_classical(state, cfg.nu), state.u.copy(), None
+        return record_classical(state, cfg.nu), {"u": state.u.copy()}
 
-    return _drive(RunResult(cfg, "classical", initial_state=NSState(0.0, u0)),
-                  u0, step, sample)
+    return _drive(RunResult(cfg, "classical"), NSState(0.0, u0), u0, step, sample)
 
 
-def run_el(cfg: RunConfig, v0: Field | None = None) -> RunResult:
-    u0 = _initial_velocity(cfg)
-    result = RunResult(cfg, "el", initial_state=initial_state(
-        v0 if v0 is not None else u0, potential_mode=cfg.potential_mode))
+def run_el(cfg: RunConfig, u0: Field, v0: Field | None = None) -> RunResult:
+    """EL run from v0 (default u0); the step plan always comes from u0."""
+    result = RunResult(cfg, "el")
 
     def step(state, dt):
         state = el_step(state, cfg.forcing, dt, nu=cfg.nu)
@@ -156,28 +165,27 @@ def run_el(cfg: RunConfig, v0: Field | None = None) -> RunResult:
 
     def sample(state):
         d = derive(state)
-        return (record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing),
-                d.u, d.w)
+        return record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing), {
+            "ell": state.ell, "v": state.v, "u": d.u, "n": d.n, "w": d.w,
+            "det_grad_A": d.det, "C_magnitude": Field(state.ell.grid, magnitude(d.C))}
 
-    return _drive(result, u0, step, sample)
+    state = initial_state(v0 if v0 is not None else u0, potential_mode=cfg.potential_mode)
+    return _drive(result, state, u0, step, sample)
 
 
-def run_cotangent(cfg: RunConfig) -> RunResult:
-    u0 = _initial_velocity(cfg)
-
+def run_cotangent(cfg: RunConfig, u0: Field) -> RunResult:
     def step(state, dt):
         state = cotangent_step(state, cfg.forcing, dt, nu=cfg.nu)
         return state, state.w
 
     def sample(state):
         u = leray_project(state.w)
-        return record_classical(NSState(state.t, u), cfg.nu), u, state.w.copy()
+        return record_classical(NSState(state.t, u), cfg.nu), {"w": state.w.copy(), "u": u}
 
-    return _drive(RunResult(cfg, "cotangent", initial_state=WState(0.0, u0)),
-                  u0, step, sample)
+    return _drive(RunResult(cfg, "cotangent"), WState(0.0, u0), u0, step, sample)
 
 
-def gauge_twin_initial(cfg: RunConfig) -> Field:
+def gauge_twin_initial(u0: Field) -> Field:
     """u0 plus the gradient of a random scalar with matched L2 gradient norm.
 
     The scalar is kept well inside the dealias cutoff (band n/8, fast
@@ -185,7 +193,6 @@ def gauge_twin_initial(cfg: RunConfig) -> Field:
     formulation, which at finite resolution only holds up to truncation of
     the gauge field itself.
     """
-    u0 = _initial_velocity(cfg)
     grid = u0.grid
     phi = random_scalar(grid, GAUGE_SEED, band=max(2, grid.n // 8), width=2.0)
     dphi = gradient(phi)
@@ -219,19 +226,16 @@ def compare_runs(a: RunResult, b: RunResult, kind: str = "") -> CompareReport:
     if len(a.times) != len(b.times) or any(
             abs(ta - tb) > 1e-12 for ta, tb in zip(a.times, b.times)):
         raise ConfigError("compare_runs: mismatched sample times")
-    rel_l2, rel_linf = [], []
-    for ua, ub in zip(a.u_series, b.u_series):
-        diff = Field(ua.grid, ua.data - ub.data)
-        ref_l2 = max(l2_norm(ub), 1e-300)
-        ref_inf = max(sup_norm(ub), 1e-300)
-        rel_l2.append(l2_norm(diff) / ref_l2)
-        rel_linf.append(sup_norm(diff) / ref_inf)
+
+    def rel(series_a, series_b, norm):
+        return [norm(Field(fa.grid, fa.data - fb.data)) / max(norm(fb), 1e-300)
+                for fa, fb in zip(series_a, series_b)]
+
+    rel_l2 = rel(a.u_series, b.u_series, l2_norm)
+    rel_linf = rel(a.u_series, b.u_series, sup_norm)
     w_rel = None
     if kind == "cotangent" and a.w_series and b.w_series:
-        w_rel = []
-        for wa, wb in zip(a.w_series, b.w_series):
-            diff = Field(wa.grid, wa.data - wb.data)
-            w_rel.append(l2_norm(diff) / max(l2_norm(wb), 1e-300))
+        w_rel = rel(a.w_series, b.w_series, l2_norm)
     return CompareReport(
         kind=kind, times=list(a.times), rel_l2=rel_l2, rel_linf=rel_linf,
         max_rel_l2=max(rel_l2), max_rel_linf=max(rel_linf),
@@ -283,10 +287,10 @@ def _observed_order(residuals, dts) -> float:
 def identity_suite_with_orders(cfg: RunConfig) -> dict:
     """Identity suite on the configured grid plus dt-convergence orders."""
     grid = cfg.grid.build()
-    reports = run_identity_suite(grid, seed=cfg.identity_seed, nu=max(cfg.nu, 0.05))
+    nu = max(cfg.nu, 0.05)
+    reports = run_identity_suite(grid, seed=cfg.identity_seed, nu=nu)
     state = make_test_state(grid, cfg.identity_seed, 0.05)
     gsc = random_scalar(grid, cfg.identity_seed + 2)
-    nu = max(cfg.nu, 0.05)
     gamma_res, cevo_res = [], []
     for dt in cfg.identity_dts:
         gamma_res.append(check_gamma_commutation(state, gsc, dt, nu=nu).residual)
@@ -320,23 +324,9 @@ def _write_json(path: Path, payload) -> None:
 def _emit_snapshots(outdir: Path, result: RunResult) -> None:
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-
-    def dump(tag, state):
-        t = getattr(state, "t", 0.0)
-        if isinstance(state, ELState):
-            d = derive(state)
-            fields = {"ell": state.ell, "v": state.v, "u": d.u, "n": d.n,
-                      "w": d.w, "det_grad_A": d.det,
-                      "C_magnitude": Field(state.ell.grid, magnitude(d.C))}
-        elif isinstance(state, WState):
-            fields = {"w": state.w, "u": leray_project(state.w)}
-        else:
-            fields = {"u": state.u}
+    for tag, (t, fields) in result.snapshots.items():
         for name, f in fields.items():
             write_snapshot(snapdir / f"{tag}_{name}.bin", f, time=t, name=name)
-
-    dump("initial", result.initial_state)
-    dump("final", result.final_state)
 
 
 def _manifest(outdir: Path, cfg: RunConfig) -> None:
@@ -364,29 +354,35 @@ def _emit_common(outdir: Path, cfg: RunConfig, result: RunResult) -> None:
 def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
     """Run one CLI command; returns the process exit code.
 
-    0 success, 2 solver failure (partial artifacts emitted), 3 assertion
+    0 success, 2 solver failure, in a run or in the identity suite's steps
+    (partial artifacts emitted), 3 assertion
     failure in a bound/identity suite. Configuration errors raise
     ``ConfigError`` for the CLI to map to exit code 1, before any step or
     output directory.
     """
     if command in ("bounds-report", "pair-dispersion"):
         _require_unbroken(cfg)
-    if command != "verify-identities" and cfg.dt is None:
-        # the step count from cfl_target needs u0; a fixed dt was checked by validate
-        _plan_steps(cfg, _initial_velocity(cfg))
+    if command != "verify-identities":
+        u0 = initial_velocity(cfg)
+        _plan_steps(cfg, u0)   # a step count from cfl_target needs u0
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     if command == "verify-identities":
-        payload = identity_suite_with_orders(cfg)
         _write_json(outdir / "config.json", cfg.to_dict())
+        try:
+            payload = identity_suite_with_orders(cfg)
+        except ElflowError as exc:
+            _write_json(outdir / "failure.json", _failure(exc, "identities", None))
+            _manifest(outdir, cfg)
+            return 2
         _write_json(outdir / "report_identities.json", payload)
         _manifest(outdir, cfg)
         ok = all(r.passed for r in payload["reports"]) and payload["orders_pass"]
         return 0 if ok else 3
 
     if command in ("bounds-report", "pair-dispersion"):
-        result = run_el(cfg)
+        result = run_el(cfg, u0)
         _emit_common(outdir, cfg, result)
         if result.failure is not None:
             _manifest(outdir, cfg)
@@ -410,13 +406,13 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
     # command == "run" or "compare"
     mode = "compare" if command == "compare" else cfg.mode
     if mode == "compare":
-        result = run_el(cfg)
+        result = run_el(cfg, u0)
         if cfg.compare_kind == "classical":
-            other = run_classical(cfg)
+            other = run_classical(cfg, u0)
         elif cfg.compare_kind == "cotangent":
-            other = run_cotangent(cfg)
+            other = run_cotangent(cfg, u0)
         else:
-            other = run_el(cfg, v0=gauge_twin_initial(cfg))
+            other = run_el(cfg, u0, v0=gauge_twin_initial(u0))
         result.failure = result.failure or other.failure
         _emit_common(outdir, cfg, result)
         if result.failure is None:
@@ -424,7 +420,7 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
             _write_json(outdir / "report_compare.json", report)
     else:
         run = {"classical": run_classical, "el": run_el, "cotangent": run_cotangent}[mode]
-        result = run(cfg)
+        result = run(cfg, u0)
         _emit_common(outdir, cfg, result)
     _manifest(outdir, cfg)
     return 2 if result.failure is not None else 0

@@ -20,7 +20,7 @@ from elflow.identities import run_identity_suite
 from elflow.initial import taylor_green
 from elflow.runner import (
     bounds_suite, compare_runs, gauge_twin_initial, identity_suite_with_orders,
-    run_classical, run_cotangent, run_el,
+    initial_velocity, run_classical, run_cotangent, run_el,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -40,8 +40,9 @@ def runs_2d():
                     reset=ResetConfig(enabled=True),
                     cadence=10, m_list=(2,))
     cfg.validate()
-    return {"el": run_el(cfg), "ns": run_classical(cfg),
-            "cot": run_cotangent(cfg), "cfg": cfg}
+    u0 = initial_velocity(cfg)
+    return {"el": run_el(cfg, u0), "ns": run_classical(cfg, u0),
+            "cot": run_cotangent(cfg, u0), "cfg": cfg}
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +52,9 @@ def runs_3d():
                     reset=ResetConfig(enabled=True),
                     cadence=25, m_list=(2,))
     cfg.validate()
-    return {"el": run_el(cfg), "ns": run_classical(cfg),
-            "cot": run_cotangent(cfg), "cfg": cfg}
+    u0 = initial_velocity(cfg)
+    return {"el": run_el(cfg, u0), "ns": run_classical(cfg, u0),
+            "cot": run_cotangent(cfg, u0), "cfg": cfg}
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +65,7 @@ def bound_runs():
         cfg.grid = GridConfig(dim=3, n=n)
         cfg.mc = MCConfig(samples=100_000, seed=11)
         cfg.validate()
-        result = run_el(cfg)
+        result = run_el(cfg, initial_velocity(cfg))
         assert result.failure is None, result.failure
         out[n] = {"cfg": cfg, "result": result,
                   "reports": bounds_suite(cfg, result)}
@@ -106,8 +108,9 @@ class TestCriterion3GaugeInvariance:
                         reset=ResetConfig(enabled=True),
                         cadence=10, m_list=(2,))
         cfg.validate()
-        base = run_el(cfg)
-        twin = run_el(cfg, v0=gauge_twin_initial(cfg))
+        u0 = initial_velocity(cfg)
+        base = run_el(cfg, u0)
+        twin = run_el(cfg, u0, v0=gauge_twin_initial(u0))
         rep = compare_runs(twin, base, kind="gauge")
         passed = rep.max_rel_linf < 1e-8
         report("3 (gauge invariance, sup norm)", rep.max_rel_linf, 1e-8, passed)
@@ -168,7 +171,8 @@ class TestCriterion5Bounds:
 
 class TestCriterion6EulerMode:
     def test_2d_sup_norm_rearrangement(self):
-        result = run_el(preset("euler-2d"))
+        cfg = preset("euler-2d")
+        result = run_el(cfg, initial_velocity(cfg))
         v0 = result.records[0].v_inf
         drift = max(abs(r.v_inf - v0) / v0 for r in result.records)
         passed = drift < 1e-3
@@ -176,7 +180,8 @@ class TestCriterion6EulerMode:
         assert passed
 
     def test_3d_global_helicity(self):
-        result = run_el(preset("euler-3d"))
+        cfg = preset("euler-3d")
+        result = run_el(cfg, initial_velocity(cfg))
         h0 = result.records[0].helicity
         drift = max(abs(r.helicity - h0) / abs(h0) for r in result.records)
         passed = drift < 1e-4

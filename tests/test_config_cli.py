@@ -2,20 +2,25 @@
 and byte-level determinism."""
 import hashlib
 import json
+import math
 import re
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elflow import el, runner
 from elflow.cli import main
 from elflow.config import (
     GridConfig, InitialConfig, MCConfig, ResetConfig, RunConfig, load_config,
     preset,
 )
-from elflow.errors import ConfigError
-from elflow.runner import compare_runs, execute, run_classical
+from elflow.errors import ConfigError, NearSingularJacobianError
+from elflow.forcing import ForcingSpec
+from elflow.runner import compare_runs, execute, initial_velocity, run_classical
+from elflow.snapshots import read_snapshot
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -135,14 +140,15 @@ class TestConfig:
 class TestCompareRuns:
     def test_identical_configs_give_zero(self):
         cfg = tiny_config(mode="classical")
-        a, b = run_classical(cfg), run_classical(cfg)
+        u0 = initial_velocity(cfg)
+        a, b = run_classical(cfg, u0), run_classical(cfg, u0)
         rep = compare_runs(a, b)
         assert rep.max_rel_l2 == 0.0 and rep.max_rel_linf == 0.0
 
     def test_mismatched_grids_rejected(self):
-        a = run_classical(tiny_config(mode="classical"))
-        b = run_classical(tiny_config(mode="classical",
-                                      grid=GridConfig(dim=2, n=32)))
+        a, b = (run_classical(cfg, initial_velocity(cfg)) for cfg in (
+            tiny_config(mode="classical"),
+            tiny_config(mode="classical", grid=GridConfig(dim=2, n=32))))
         with pytest.raises(ConfigError):
             compare_runs(a, b)
 
@@ -252,6 +258,7 @@ class TestCLI:
         {"mc": {"delta0": 0}},
         {"initial": {"mode": 0}},
         {"initial": {"kind": "random_bandlimited", "band": 0}},
+        {"m_list": [2, 2]},
     ], ids=["grid-not-object", "nu-not-numeric", "flag-not-boolean",
             "no-identity-dts", "one-identity-dt", "one-mc-sample",
             "zero-cfl-limit", "zero-reset-threshold", "float-grid-n",
@@ -259,7 +266,7 @@ class TestCLI:
             "unknown-initial-kind", "abc-in-2d", "one-forcing-mode",
             "zero-forcing-mode", "infinite-t-end", "step-count-overflow",
             "nan-nu", "nan-dt", "zero-C0", "zero-delta0", "zero-initial-mode",
-            "zero-initial-band"])
+            "zero-initial-band", "repeated-m"])
     def test_malformed_config_is_a_config_error(self, doc, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
@@ -318,6 +325,70 @@ class TestCLI:
         # compare runs EL first, so EL's failure is the one reported
         assert failure["solver"] == ("el" if mode == "compare" else mode)
         assert (out / "timeseries.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["el", "classical", "cotangent"])
+    def test_forced_flow_from_rest(self, mode, tmp_path):
+        # u0 = 0 gives the RMS guard no reference; the forcing sets the flow going
+        cfg = tiny_config(mode=mode, initial=InitialConfig(kind="taylor_green", amplitude=0.0),
+                          forcing=ForcingSpec(kind="single_mode", amplitude=0.05, mode=2))
+        out = tmp_path / "o"
+        assert execute(cfg, out) == 0
+        assert not (out / "failure.json").exists()
+        last = (out / "timeseries.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[1]) > 0.0   # energy
+
+    def test_failure_off_the_cadence_snapshots_the_last_state(self, tmp_path, monkeypatch):
+        steps = []
+
+        def el_step(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 3:
+                raise NearSingularJacobianError(0.0, (0, 0), el.DEFAULT_DET_FLOOR)
+            return el.el_step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "el_step", el_step)
+        out = tmp_path / "o"
+        # the last state, after step 2, is off the cadence of 3 steps
+        assert execute(tiny_config(mode="el", cadence=3), out) == 2
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["error"] == "NearSingularJacobianError"
+        assert (out / "manifest.json").exists()
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert not any(math.isclose(float(r.split(",")[0]), failure["t"]) for r in rows)
+        finals = list(out.glob("snapshots/final_*.bin"))
+        assert len(finals) == 7
+        assert all(read_snapshot(f)[1]["time"] == failure["t"] for f in finals)
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("run", {"mode": "el"}),
+        ("compare", {"compare_kind": "classical"}),
+        ("compare", {"compare_kind": "cotangent"}),
+        ("compare", {"compare_kind": "gauge"}),
+        ("compare", {"compare_kind": "classical", "dt": None}),
+        ("run", {"mode": "el", "dt": None}),
+    ], ids=["el", "classical", "cotangent", "gauge", "classical-cfl-dt", "el-cfl-dt"])
+    def test_each_sample_derived_once_and_u0_built_once(self, command, overrides,
+                                                        tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("derive", "record_el", "make_initial"):
+            def counted(*args, _fn=getattr(runner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(runner, name, counted)
+        assert execute(tiny_config(**overrides), tmp_path / "o", command=command) == 0
+        assert calls["derive"] == calls["record_el"] > 0
+        assert calls["make_initial"] == 1
+
+    def test_identity_step_failure_exits_2_with_partial_artifacts(self, tmp_path):
+        # a 1.0 step breaks the CFL limit in the convergence-order checks
+        out = tmp_path / "o"
+        assert execute(tiny_config(identity_dts=(1.0, 0.5)), out,
+                       command="verify-identities") == 2
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["error"] == "CFLViolationError"
+        assert (failure["solver"], failure["t"]) == ("identities", None)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == ["config.json", "failure.json"]
 
     def test_verify_identities_smoke(self, tmp_path):
         # n = 64 is the canonical 2D suite grid; the 0.2-amplitude corpus
