@@ -89,14 +89,24 @@ def record_classical(state: NSState, nu: float) -> TimeSeriesRecord:
 
 
 def record_el(state: ELState, derived: ELDerived, nu: float, *,
-              m_list=(2, 3), forcing: ForcingSpec | None = None) -> TimeSeriesRecord:
+              m_list=(2, 3), forcing: ForcingSpec | None = None,
+              c_mag: np.ndarray | None = None) -> TimeSeriesRecord:
+    """One time-series row of an EL state. ``c_mag`` is ``magnitude(derived.C)``
+    when the caller has it already. Each derivative field is released as
+    soon as its norms are taken."""
     grid = state.ell.grid
     volume = grid.volume
-    grad_u = gradient(derived.u)
+    dissipation = nu * l2_norm(gradient(derived.u)) ** 2 / volume
     grad_ell = gradient(state.ell)
+    grad_ell_l2 = l2_norm(grad_ell) ** 2 / volume
+    grad_ell_inf = sup_norm(grad_ell)
+    del grad_ell
     lap_ell = laplacian(state.ell)
-    grad_lap_ell = gradient(lap_ell)
-    c_mag = magnitude(derived.C)
+    lap_ell_l2 = l2_norm(lap_ell) ** 2 / volume
+    grad_lap_ell_l2 = l2_norm(gradient(lap_ell)) ** 2 / volume
+    del lap_ell
+    if c_mag is None:
+        c_mag = magnitude(derived.C)
     v_norms = {m: lp_norm(state.v, 2 * m) for m in m_list}
     g_norms = None
     if forcing is not None and not forcing.is_zero:
@@ -107,15 +117,15 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
     return TimeSeriesRecord(
         t=state.t,
         energy=0.5 * l2_norm(derived.u) ** 2 / volume,
-        dissipation=nu * l2_norm(grad_u) ** 2 / volume,
+        dissipation=dissipation,
         u_inf=sup_norm(derived.u),
         v_inf=sup_norm(state.v),
         ell_inf=sup_norm(state.ell),
         ell_l2=l2_norm(state.ell) ** 2 / volume,
-        grad_ell_l2=l2_norm(grad_ell) ** 2 / volume,
-        lap_ell_l2=l2_norm(lap_ell) ** 2 / volume,
-        grad_lap_ell_l2=l2_norm(grad_lap_ell) ** 2 / volume,
-        grad_ell_inf=sup_norm(grad_ell),
+        grad_ell_l2=grad_ell_l2,
+        lap_ell_l2=lap_ell_l2,
+        grad_lap_ell_l2=grad_lap_ell_l2,
+        grad_ell_inf=grad_ell_inf,
         c_l3=float(np.mean(c_mag**3) * volume),
         v_norms=v_norms,
         g_norms=g_norms,

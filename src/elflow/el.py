@@ -144,12 +144,24 @@ def _check_det(det: np.ndarray, floor: float) -> None:
 def _label(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Q[i, j] x_j pointwise: the label derivative (Q[i, j] d_j g) when
     x = grad g; ``_cotangent`` applies it to grad ell in place of Q."""
-    return np.einsum("ij...,j...->i...", q, x)
+    out = np.empty_like(x)
+    for i in range(len(q)):
+        _advection(q[i], x, out=out[i])
+    return out
 
 
-def _advection(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
-    """u_k d_k x from grad_x[k, ...] = d_k x, for a scalar or a vector x."""
-    return np.einsum("k...,k...->...", u, grad_x)
+def _advection(u: np.ndarray, grad_x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """u_k d_k x from grad_x[k, ...] = d_k x, for a scalar or a vector x.
+
+    Summed from zero in the order k = 0, 1, ..., so the result, signed
+    zeros included, is bit for bit that of einsum("k...,k...->...")."""
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(u.shape[1:], grad_x.shape[1:]))
+    else:
+        out.fill(0.0)
+    for k in range(len(u)):
+        out += u[k] * grad_x[k]
+    return out
 
 
 def _advection_hat(grid: Grid, u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
@@ -231,8 +243,9 @@ def derive(state: ELState) -> ELDerived:
     lhat = to_spectral(grid, state.ell.data)
     gl = _grad_ell(grid, lhat)
     gA, q, det = _deformation(gl, DEFAULT_DET_FLOOR)
-    c = _commutator(grid, q, lhat)
     w = Field(grid, _cotangent(gl, state.v.data))
+    del gl  # not held beside C
+    c = _commutator(grid, q, lhat)
     u, n = _project(w)
     return ELDerived(
         grad_A=Field(grid, gA),
@@ -261,18 +274,22 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
     """
     gl = _grad_ell(grid, lhat)
     _, q, _ = _deformation(gl, DEFAULT_DET_FLOOR)
-    v = to_physical(grid, vhat)
-    what = dealias_hat(grid, to_spectral(grid, _cotangent(gl, v)))
+    what = dealias_hat(grid, to_spectral(grid, _cotangent(gl, to_physical(grid, vhat))))
     uhat = leray_hat(grid, what)
+    del what
     u = to_physical(grid, uhat)
 
-    g_ell = _advection_hat(grid, u, gl) - uhat
+    g_ell = _advection_hat(grid, u, gl)
+    g_ell -= uhat
+    del gl, uhat   # only q and u are read below
 
     gv = to_physical(grid, grad_hat(grid, vhat))  # gv[k, m] = d_k v_m
     g_v = _advection_hat(grid, u, gv)
     if nu > 0.0:
         source = _commutator_source(grid, q, lhat, gv)
         g_v += 2.0 * nu * dealias_hat(grid, to_spectral(grid, source))
+        del source
+    del gv   # the force term needs q alone
     if force is not None:
         g_v += dealias_hat(grid, to_spectral(grid, _label(q, force.data)))
     return g_ell, g_v, u
@@ -304,8 +321,10 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
     passive_rows = range(2 * d + dynamic, len(yhat))
 
     def rhs(y, t):
+        g_ell, g_v, u = _stage_terms(grid, nu, y[:d], y[d:2 * d], force)
         out = np.empty_like(y)
-        out[:d], out[d:2 * d], u = _stage_terms(grid, nu, y[:d], y[d:2 * d], force)
+        out[:d], out[d:2 * d] = g_ell, g_v
+        del g_ell, g_v
         if dynamic:
             out[2 * d] = _potential_rhs_hat(grid, y[2 * d], u)
         for row in passive_rows:

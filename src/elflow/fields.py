@@ -57,8 +57,16 @@ def zeros(grid: Grid, rank: int) -> Field:
 
 
 def magnitude(field: Field) -> np.ndarray:
-    """Pointwise Euclidean/Frobenius magnitude as a plain array."""
-    return np.sqrt(np.sum(field.data**2, axis=tuple(range(field.rank))))
+    """Pointwise Euclidean/Frobenius magnitude as a plain array.
+
+    The squares are added one component at a time, without a temporary of
+    the field's size; for C-ordered data this is the order, and so the
+    bits, of a sum over the component axes."""
+    components = np.ndindex(field.data.shape[:field.rank])
+    total = np.square(field.data[next(components)])
+    for index in components:
+        total += np.square(field.data[index])
+    return np.sqrt(total, out=total)
 
 
 def integral(field: Field) -> float:

@@ -27,7 +27,7 @@ from .forcing import ForcingSpec
 from .grid import Grid
 from .initial import random_bandlimited, random_scalar
 from .spectral import (
-    deriv_hat, grad_hat, gradient, hessian, lap_hat, laplacian,
+    deriv_hat, gradient, hessian, lap_hat, laplacian,
     second_derivs, to_physical, to_spectral,
 )
 
@@ -222,22 +222,30 @@ def check_gamma_commutation(state: ELState, g: Field, dt: float, *,
     G(label_i g), realized with a centered time difference around the
     midpoint of two integrator steps; residual is O(dt^2).
     """
+    grid = state.ell.grid
     s1, (g1,) = el_step_with_passive(state, _NO_FORCING, dt, nu=nu, passive=(g,))
     s2, (g2,) = el_step_with_passive(s1, _NO_FORCING, dt, nu=nu, passive=(g1,))
 
     h0 = _label_gradient_of(state, g)
-    h1 = Field(s1.ell.grid, _label_gradient_of(s1, g1))
+    h1 = Field(grid, _label_gradient_of(s1, g1))
     h2 = _label_gradient_of(s2, g2)
+    del s2, g2
+    dt_h = (h2 - h0) / (2.0 * dt)
+    del h0, h2
 
     d1 = derive(s1)
-    dt_h = (h2 - h0) / (2.0 * dt)
-    advect = _advection(d1.u.data, gradient(h1).data)
-    gamma_h = dt_h + advect - nu * laplacian(h1).data
+    c1, u1 = d1.C.data, d1.u
+    del d1, s1  # C and u are all that is read below
+    # grad h1 is transformed twice so that the 9-field array is never held twice
+    gamma_h = dt_h + _advection(u1.data, gradient(h1).data) - nu * laplacian(h1).data
+    rhs = 2.0 * nu * np.einsum("mki...,km...->i...", c1, gradient(h1).data)
+    del c1
 
-    grad_lag = gradient(h1).data  # [k, m]
-    rhs = 2.0 * nu * np.einsum("mki...,km...->i...", d1.C.data, grad_lag)
-
-    scale = max(sup_norm(hessian(g1)) * max(sup_norm(d1.u), 1.0), _TINY)
+    # sup |hessian(g1)| one second-derivative block at a time
+    hess_sq = np.zeros(grid.shape)
+    for k, j, block in second_derivs(grid, to_spectral(grid, g1.data)):
+        hess_sq += (1.0 if j == k else 2.0) * block**2
+    scale = max(float(np.sqrt(np.max(hess_sq))) * max(sup_norm(u1), 1.0), _TINY)
     residual = np.max(np.abs(gamma_h - rhs)) / scale
     return _report("gamma_commutation", residual, GAMMA_COMMUTATION_COEFF * dt**2,
                    {"dt": dt, "scale": scale},
@@ -246,37 +254,54 @@ def check_gamma_commutation(state: ELState, g: Field, dt: float, *,
 
 def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport:
     """G C[m,k;i] = -(d_l A_m) label_i(d_k u_l) - (d_k u_l) C[m,l;i]
-    + 2 nu C[j,l;i] d_l C[m,k;j], with G C realized by one forward step."""
+    + 2 nu C[j,l;i] d_l C[m,k;j], with G C realized by one forward step.
+
+    The residual is accumulated in the stepped C's array. Of the three
+    rank-3 tensors C(t + dt), C(t) and label_i(d_k u_l) at most two are alive
+    at once: the terms in C(t) come first, one (m, k) block of ``dim`` fields
+    at a time, and label_i(d_k u_l) is built after C(t) is released.
+    """
     grid = state.ell.grid
+    d = grid.dim
     # step first and keep only the stepped C, so the step's working set and
     # the derived fields of the start state are never held together
-    c1 = derive(el_step_with_passive(state, _NO_FORCING, dt, nu=nu, passive=())[0]).C.data
+    res = derive(el_step_with_passive(state, _NO_FORCING, dt, nu=nu, passive=())[0]).C.data
     d0 = derive(state)
-    c0, u, gA = d0.C.data, d0.u.data, d0.grad_A.data
+    c0, u, gA, q = d0.C.data, d0.u.data, d0.grad_A.data, d0.Q.data
+    del d0  # C, u, grad A and Q are all that is read below
 
     uhat = to_spectral(grid, u)
-    gu = to_physical(grid, grad_hat(grid, uhat))            # gu[k, l] = d_k u_l
-    lag_gu = _commutator(grid, d0.Q.data, uhat)       # [l, k, i] = label_i(d_k u_l)
-    del d0  # C, u and grad A are all that is read below
-
-    # one m at a time: C[m] is [k, i], and d_l C[m] is built one l at a time
     worst = scale = 0.0
-    for m in range(grid.dim):
-        cm_hat = to_spectral(grid, c0[m])
-        gamma_c = (c1[m] - c0[m]) / dt
-        gamma_c -= nu * to_physical(grid, lap_hat(grid, cm_hat))
-        term3 = np.zeros_like(gamma_c)
-        for l in range(grid.dim):
-            dl_cm = to_physical(grid, deriv_hat(grid, cm_hat, l))
-            gamma_c += u[l] * dl_cm
-            term3 += np.einsum("ji...,kj...->ki...", c0[:, l], dl_cm)
-        term1 = np.einsum("l...,lki...->ki...", gA[:, m], lag_gu)
-        scale = max(scale, float(np.max(np.abs(term1))), float(np.max(np.abs(gamma_c))))
-        residual_m = gamma_c  # accumulated in place from here on
-        residual_m += term1
-        residual_m += np.einsum("kl...,li...->ki...", gu, c0[m])
-        residual_m -= 2.0 * nu * term3
-        worst = max(worst, float(np.max(np.abs(residual_m))))
+    for k in range(d):
+        gu_k = to_physical(grid, deriv_hat(grid, uhat, k))  # gu_k[l] = d_k u_l
+        for m in range(d):
+            c_hat = to_spectral(grid, c0[m, k])             # C[m, k; i], i leading
+            # C(t + dt)[m, k] becomes G C[m, k], then the residual, in place
+            r = res[m, k]
+            r -= c0[m, k]
+            r /= dt
+            r -= nu * to_physical(grid, lap_hat(grid, c_hat))
+            term3 = np.zeros_like(r)
+            for l in range(d):
+                dl_c = to_physical(grid, deriv_hat(grid, c_hat, l))
+                r += u[l] * dl_c
+                for j in range(d):
+                    term3 += c0[j, l] * dl_c[j]             # C[j, l; i] d_l C[m, k; j]
+            del c_hat, dl_c
+            scale = max(scale, float(np.max(np.abs(r))))
+            r += _advection(gu_k, c0[m])                    # (d_k u_l) C[m, l; i]
+            term3 *= 2.0 * nu
+            r -= term3
+    del c0, u, gu_k
+
+    lag_gu = _commutator(grid, q, uhat)       # [l, k, i] = label_i(d_k u_l)
+    del q, uhat
+    for m in range(d):
+        for k in range(d):
+            term1 = _advection(gA[:, m], lag_gu[:, k])     # (d_l A_m) label_i(d_k u_l)
+            scale = max(scale, float(np.max(np.abs(term1))))
+            res[m, k] += term1
+            worst = max(worst, float(np.max(np.abs(res[m, k]))))
 
     scale = max(scale, _TINY)
     residual = worst / scale

@@ -165,9 +165,12 @@ def run_el(cfg: RunConfig, u0: Field, v0: Field | None = None) -> RunResult:
 
     def sample(state):
         d = derive(state)
-        return record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing), {
+        c_mag = magnitude(d.C)
+        record = record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing,
+                           c_mag=c_mag)
+        return record, {
             "ell": state.ell, "v": state.v, "u": d.u, "n": d.n, "w": d.w,
-            "det_grad_A": d.det, "C_magnitude": Field(state.ell.grid, magnitude(d.C))}
+            "det_grad_A": d.det, "C_magnitude": Field(state.ell.grid, c_mag)}
 
     state = initial_state(v0 if v0 is not None else u0, potential_mode=cfg.potential_mode)
     return _drive(result, state, u0, step, sample)

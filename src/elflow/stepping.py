@@ -21,9 +21,10 @@ CFL_LIMIT = 0.4
 def if_rk4_step(grid: Grid, yhat: np.ndarray, t: float, dt: float, nu: float, rhs):
     """One integrating-factor RK4 step of the stacked spectral state ``yhat``.
 
-    ``rhs(yhat, t)`` returns N in spectral space and the physical velocity
-    of its stage. The first stage's velocity is that of the input state:
-    raises ``CFLViolationError`` when its CFL number exceeds ``CFL_LIMIT``.
+    ``rhs(yhat, t)`` returns N in spectral space, as a new array that the
+    step may overwrite, and the physical velocity of its stage. The first
+    stage's velocity is that of the input state: raises
+    ``CFLViolationError`` when its CFL number exceeds ``CFL_LIMIT``.
     """
     e = np.exp(-nu * tables(grid).k2 * (0.5 * dt))
     e2 = e * e
@@ -32,10 +33,24 @@ def if_rk4_step(grid: Grid, yhat: np.ndarray, t: float, dt: float, nu: float, rh
     del u   # not held through the later stages (tests/test_memory_budget.py)
     if max_u * dt / grid.spacing > CFL_LIMIT:
         raise CFLViolationError(dt, grid.spacing, max_u, CFL_LIMIT)
-    n2 = rhs(e * (yhat + 0.5 * dt * n1), t + 0.5 * dt)[0]
+    # Each stage's N is folded into one accumulator once the next stage's
+    # input is built, in the operation order of
+    # e2*y + dt/6*(e2*n1 + 2e*(n2 + n3) + n4): the result is that formula's
+    # bit for bit, and no stage runs with more than two N stacks held.
+    y2 = e * (yhat + 0.5 * dt * n1)
+    acc = np.multiply(e2, n1, out=n1)
+    n2 = rhs(y2, t + 0.5 * dt)[0]
+    del y2
     n3 = rhs(e * yhat + 0.5 * dt * n2, t + 0.5 * dt)[0]
-    n4 = rhs(e2 * yhat + dt * e * n3, t + dt)[0]
-    return e2 * yhat + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
+    y4 = e2 * yhat + dt * e * n3
+    n2 += n3
+    del n3
+    acc += np.multiply(2.0 * e, n2, out=n2)
+    del n2
+    acc += rhs(y4, t + dt)[0]
+    del y4
+    np.multiply(dt / 6.0, acc, out=acc)
+    return np.add(e2 * yhat, acc, out=acc)
 
 
 def ensure_finite(arr: np.ndarray, what: str, t: float) -> None:

@@ -13,8 +13,8 @@ from elflow.classical import NSState, _nonlinear_hat, ns_step
 from elflow.el import (
     WState, compute_C, compute_Q, compute_w,
     cotangent_step, derive, el_step, el_step_with_passive,
-    initial_state, reconstruct_u, reset_labels, _commutator,
-    _commutator_source, _cotangent_nonlinear_hat, _potential_rhs_hat,
+    initial_state, reconstruct_u, reset_labels, _advection, _commutator,
+    _commutator_source, _cotangent_nonlinear_hat, _label, _potential_rhs_hat,
     _stage_terms,
 )
 from elflow.errors import CFLViolationError, NearSingularJacobianError
@@ -27,7 +27,7 @@ from elflow.spectral import (
     divergence, gradient, laplacian, leray_project, to_physical,
     to_spectral,
 )
-from elflow.stepping import CFL_LIMIT
+from elflow.stepping import CFL_LIMIT, if_rk4_step
 
 TWO_PI = 2.0 * np.pi
 ZERO = ForcingSpec("zero")
@@ -180,6 +180,30 @@ class TestStreamedCommutator:
                 <= 1e-13 * np.max(np.abs(source_ref)))
 
 
+class TestPointwiseSums:
+    """The explicit sums of ``_label`` and ``_advection`` against the einsum
+    spellings they replace: the same bits, signed zeros included."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_match_einsum_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+
+        def draw(*lead):   # exact zeros of both signs among the values
+            shape = lead + (6,) * dim
+            return (rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)
+                    * rng.uniform(0.5, 2.0, size=shape))
+
+        q, x, u, gx = draw(dim, dim), draw(dim), draw(dim), draw(dim, dim)
+        pairs = [
+            (_label(q, x), np.einsum("ij...,j...->i...", q, x)),
+            (_advection(u, x), np.einsum("k...,k...->...", u, x)),
+            (_advection(u, gx), np.einsum("k...,k...->...", u, gx)),
+        ]
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 class TestReconstruction:
     def test_fresh_state_returns_initial_velocity(self, grid2d):
         u0 = random_bandlimited(grid2d, 1)
@@ -292,6 +316,35 @@ class TestELStep:
         err = [np.max(np.abs(advance(dt) - ref)) for dt in (4e-3, 2e-3)]
         ratio = err[0] / err[1]
         assert 16 * 0.8 < ratio < 16 * 1.2
+
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_rk4_accumulator_matches_the_closed_formula(self, grid2d, nu):
+        # on a random linear right-hand side the running accumulator of
+        # if_rk4_step gives the closed RK4 formula bit for bit, so its
+        # operation order cannot drift
+        rng = np.random.default_rng(7)
+        shape = (3, *tables(grid2d).kshape)
+
+        def crandn():
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a, b, yhat = crandn(), crandn(), crandn()
+        u = np.zeros((2, *grid2d.shape))
+
+        def rhs(y, t):
+            return a * y + (1.0 + t) * b, u
+
+        t, dt = 0.3, 1e-2
+        e = np.exp(-nu * tables(grid2d).k2 * (0.5 * dt))
+        e2 = e * e
+        n1 = rhs(yhat, t)[0]
+        n2 = rhs(e * (yhat + 0.5 * dt * n1), t + 0.5 * dt)[0]
+        n3 = rhs(e * yhat + 0.5 * dt * n2, t + 0.5 * dt)[0]
+        n4 = rhs(e2 * yhat + dt * e * n3, t + dt)[0]
+        expected = e2 * yhat + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
+        y_in = yhat.copy()
+        assert np.array_equal(if_rk4_step(grid2d, y_in, t, dt, nu, rhs), expected)
+        assert np.array_equal(y_in, yhat)
 
     def test_maximum_principle_passive_scalar(self):
         g = Grid(2, 64, TWO_PI)

@@ -5,27 +5,39 @@ above its start is deterministic for a given code path. The budgets are
 stated in real scalar fields (``n**dim`` float64 values) at 3D n=16 and
 bound the arrays the code holds at once: the second-derivative and
 commutator algebra is consumed block by block, never as whole rank-3 or
-rank-4 tensors. scipy's FFT backend allocates its internal work buffers
-outside Python's allocator; those are not traced and not counted here.
+rank-4 tensors, and no identity check holds more than one EL step's
+working set plus the fields it names. scipy's FFT backend allocates its
+internal work buffers outside Python's allocator; those are not traced and
+not counted here.
+
+Run as a script to print the peak of every budgeted call on a 3D grid of
+n points per axis (default 16):
+
+    PYTHONPATH=src python tests/test_memory_budget.py 48
 """
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from elflow.diagnostics import record_el
 from elflow.el import derive, el_step
+from elflow.fields import magnitude
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import (
-    check_braces, check_C_evolution, make_test_state, random_displacement,
+    CORPUS_SPECTRAL_WIDTH, check_braces, check_C_evolution,
+    check_gamma_commutation, make_test_state, random_displacement,
 )
+from elflow.initial import random_scalar
 
 GRID = Grid(3, 16, 2.0 * np.pi)
-FIELD_BYTES = 8 * GRID.n**GRID.dim
 FORCE = ForcingSpec("single_mode", amplitude=0.5)
+NU = 0.05
 
 
-def peak_fields(fn) -> float:
+def peak_fields(fn, grid: Grid = GRID) -> float:
     """Traced peak of one call of ``fn``, after an untraced warm-up call that
     fills the cached wavenumber tables."""
     fn()
@@ -35,26 +47,40 @@ def peak_fields(fn) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / FIELD_BYTES
+    return peak / (8 * grid.n**grid.dim)
 
 
-def _calls():
-    state = make_test_state(GRID, 1, 0.05)
-    ell = random_displacement(GRID, 1, 0.2)
+def _el_sample(state):
+    """One sample of ``runner.run_el``: derive the state, take |C| once and
+    record the time-series row."""
+    d = derive(state)
+    c_mag = magnitude(d.C)
+    return record_el(state, d, NU, forcing=FORCE, c_mag=c_mag), c_mag
+
+
+def _calls(grid: Grid = GRID):
+    state = make_test_state(grid, 1, 0.05)
+    ell = random_displacement(grid, 1, 0.2)
+    g = random_scalar(grid, 2, width=CORPUS_SPECTRAL_WIDTH)
     return {
-        "el_step": lambda: el_step(state, FORCE, 2e-3, nu=0.05),
+        "el_step": lambda: el_step(state, FORCE, 2e-3, nu=NU),
         "derive": lambda: derive(state),
-        "check_C_evolution": lambda: check_C_evolution(state, 2e-3, nu=0.05),
+        "el_sample": lambda: _el_sample(state),
+        "check_C_evolution": lambda: check_C_evolution(state, 2e-3, nu=NU),
+        "check_gamma_commutation": lambda: check_gamma_commutation(state, g, 2e-3, nu=NU),
         "check_braces": lambda: check_braces(ell),
     }
 
 
-# Measured peaks plus about 5%: el_step 114.5, derive 68.8,
-# check_C_evolution 179.7, check_braces 59.3 fields (numpy 2.4).
+# Measured peaks plus about 5% (numpy 2.4): el_step 73.1, derive 62.3,
+# el_sample 76.2, check_C_evolution 97.6, check_gamma_commutation 82.7,
+# check_braces 59.3 fields.
 BUDGETS = {
-    "el_step": 120,
-    "derive": 72,
-    "check_C_evolution": 189,
+    "el_step": 77,
+    "derive": 66,
+    "el_sample": 80,
+    "check_C_evolution": 103,
+    "check_gamma_commutation": 87,
     "check_braces": 62,
 }
 
@@ -63,3 +89,11 @@ BUDGETS = {
 def test_peak_within_budget(name):
     peak = peak_fields(_calls()[name])
     assert peak <= BUDGETS[name], f"{name} peaked at {peak:.1f} fields"
+
+
+if __name__ == "__main__":
+    grid = Grid(3, int(sys.argv[1]) if len(sys.argv) > 1 else GRID.n, 2.0 * np.pi)
+    print(f"peak working set at 3D n={grid.n}, in scalar fields "
+          f"of {8 * grid.n**grid.dim} bytes")
+    for name, fn in _calls(grid).items():
+        print(f"  {name:24s} {peak_fields(fn, grid):7.1f}   (budget at n=16: {BUDGETS[name]})")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elflow.errors import FieldCompatibilityError
-from elflow.fields import Field, inner, integral, l2_norm, sup_norm
+from elflow.fields import Field, inner, integral, l2_norm, magnitude, sup_norm
 from elflow.grid import Grid
 from elflow.initial import random_bandlimited, random_scalar, taylor_green
 from elflow.spectral import (
@@ -291,6 +291,15 @@ class TestFieldInvariants:
         s = Field(grid2d, np.full(grid2d.shape, 2.0))
         assert integral(s) / grid2d.volume == 2.0
         assert np.isclose(l2_norm(s), 2.0 * np.sqrt(grid2d.volume))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_magnitude_is_the_sum_over_components_bit_for_bit(self, dim):
+        grid = Grid(dim, 8, TWO_PI)
+        rng = np.random.default_rng(dim)
+        for rank in range(4):
+            data = rng.standard_normal((dim,) * rank + grid.shape)
+            ref = np.sqrt(np.sum(data**2, axis=tuple(range(rank))))
+            assert magnitude(Field(grid, data)).tobytes() == ref.tobytes()
 
     def test_hessian_symmetry(self, grid2d):
         s = random_scalar(grid2d, 13)
