@@ -23,7 +23,7 @@ import numpy as np
 from .classical import NSState
 from .el import ELDerived, ELState, _label
 from .errors import FieldCompatibilityError
-from .fields import Field, l2_norm, lp_norm, magnitude, sup_norm
+from .fields import Field, l2_norm, lp_norm, sup_norm
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import curl, gradient, laplacian
@@ -89,11 +89,10 @@ def record_classical(state: NSState, nu: float) -> TimeSeriesRecord:
 
 
 def record_el(state: ELState, derived: ELDerived, nu: float, *,
-              m_list=(2, 3), forcing: ForcingSpec | None = None,
-              c_mag: np.ndarray | None = None) -> TimeSeriesRecord:
-    """One time-series row of an EL state. ``c_mag`` is ``magnitude(derived.C)``
-    when the caller has it already. Each derivative field is released as
-    soon as its norms are taken."""
+              c_mag: np.ndarray, m_list=(2, 3),
+              forcing: ForcingSpec | None = None) -> TimeSeriesRecord:
+    """One time-series row of an EL state; ``c_mag`` is ``magnitude(derived.C)``.
+    Each derivative field is released as soon as its norms are taken."""
     grid = state.ell.grid
     volume = grid.volume
     dissipation = nu * l2_norm(gradient(derived.u)) ** 2 / volume
@@ -105,8 +104,6 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
     lap_ell_l2 = l2_norm(lap_ell) ** 2 / volume
     grad_lap_ell_l2 = l2_norm(gradient(lap_ell)) ** 2 / volume
     del lap_ell
-    if c_mag is None:
-        c_mag = magnitude(derived.C)
     v_norms = {m: lp_norm(state.v, 2 * m) for m in m_list}
     g_norms = None
     if forcing is not None and not forcing.is_zero:

@@ -241,11 +241,7 @@ def check_gamma_commutation(state: ELState, g: Field, dt: float, *,
     rhs = 2.0 * nu * np.einsum("mki...,km...->i...", c1, gradient(h1).data)
     del c1
 
-    # sup |hessian(g1)| one second-derivative block at a time
-    hess_sq = np.zeros(grid.shape)
-    for k, j, block in second_derivs(grid, to_spectral(grid, g1.data)):
-        hess_sq += (1.0 if j == k else 2.0) * block**2
-    scale = max(float(np.sqrt(np.max(hess_sq))) * max(sup_norm(u1), 1.0), _TINY)
+    scale = max(sup_norm(hessian(g1)) * max(sup_norm(u1), 1.0), _TINY)
     residual = np.max(np.abs(gamma_h - rhs)) / scale
     return _report("gamma_commutation", residual, GAMMA_COMMUTATION_COEFF * dt**2,
                    {"dt": dt, "scale": scale},

@@ -41,6 +41,7 @@ from .spectral import gradient, leray_project
 
 __all__ = [
     "RunResult", "CompareReport", "initial_velocity", "run_classical", "run_el",
+    "el_sample",
     "run_cotangent", "compare_runs", "execute", "bounds_suite",
     "identity_suite_with_orders",
 ]
@@ -164,16 +165,22 @@ def run_el(cfg: RunConfig, u0: Field, v0: Field | None = None) -> RunResult:
         return state, state.v
 
     def sample(state):
-        d = derive(state)
-        c_mag = magnitude(d.C)
-        record = record_el(state, d, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing,
-                           c_mag=c_mag)
-        return record, {
-            "ell": state.ell, "v": state.v, "u": d.u, "n": d.n, "w": d.w,
-            "det_grad_A": d.det, "C_magnitude": Field(state.ell.grid, c_mag)}
+        return el_sample(state, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing)
 
     state = initial_state(v0 if v0 is not None else u0, potential_mode=cfg.potential_mode)
     return _drive(result, state, u0, step, sample)
+
+
+def el_sample(state: ELState, nu: float, *, m_list=(2, 3), forcing=None):
+    """One sample of ``run_el``: the diagnostics record of ``state`` and the
+    named fields of its snapshots. The state is derived once and ``|C|``
+    taken once."""
+    d = derive(state)
+    c_mag = magnitude(d.C)
+    record = record_el(state, d, nu, c_mag=c_mag, m_list=m_list, forcing=forcing)
+    return record, {
+        "ell": state.ell, "v": state.v, "u": d.u, "n": d.n, "w": d.w,
+        "det_grad_A": d.det, "C_magnitude": Field(state.ell.grid, c_mag)}
 
 
 def run_cotangent(cfg: RunConfig, u0: Field) -> RunResult:

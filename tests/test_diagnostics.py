@@ -14,7 +14,7 @@ from elflow.diagnostics import (
 )
 from elflow.el import derive, el_step, initial_state, reset_labels
 from elflow.errors import FieldCompatibilityError
-from elflow.fields import Field, l2_norm, zeros
+from elflow.fields import Field, l2_norm, magnitude, zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import random_displacement
@@ -25,18 +25,23 @@ TWO_PI = 2.0 * np.pi
 ZERO = ForcingSpec("zero")
 
 
+def record(state, nu, **kwargs):
+    """``record_el`` of a freshly derived state."""
+    d = derive(state)
+    return record_el(state, d, nu, c_mag=magnitude(d.C), **kwargs)
+
+
 def run_el_history(grid, nu, forcing, steps, dt, *, amplitude=0.2, every=10,
                    m_list=(2,), reset_threshold=None):
     state = initial_state(taylor_green(grid, amplitude=amplitude))
-    records = [record_el(state, derive(state), nu, m_list=m_list, forcing=forcing)]
+    records = [record(state, nu, m_list=m_list, forcing=forcing)]
     from elflow.el import grad_ell_sup
     for step in range(1, steps + 1):
         state = el_step(state, forcing, dt, nu=nu)
         if reset_threshold is not None and grad_ell_sup(state.ell) > reset_threshold:
             state = reset_labels(state)
         if step % every == 0 or step == steps:
-            records.append(record_el(state, derive(state), nu, m_list=m_list,
-                                     forcing=forcing))
+            records.append(record(state, nu, m_list=m_list, forcing=forcing))
     return state, records
 
 
@@ -67,7 +72,7 @@ class TestRecord:
 
     def test_csv_is_deterministic(self, tmp_path, grid2d):
         state = initial_state(taylor_green(grid2d))
-        recs = [record_el(state, derive(state), 0.01, m_list=(2,))]
+        recs = [record(state, 0.01, m_list=(2,))]
         for target in ("a.csv", "b.csv"):
             write_timeseries_csv(recs, tmp_path / target, m_list=(2,))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -160,9 +165,9 @@ class TestKInfty:
 class TestDisplacementBounds:
     def test_all_zero_at_t0(self, grid3d):
         state = initial_state(taylor_green(grid3d, amplitude=0.2))
-        records = [record_el(state, derive(state), 0.05, forcing=ZERO)]
+        records = [record(state, 0.05, forcing=ZERO)]
         state = el_step(state, ZERO, 1e-3, nu=0.05)
-        records.append(record_el(state, derive(state), 0.05, forcing=ZERO))
+        records.append(record(state, 0.05, forcing=ZERO))
         assert records[0].ell_inf == 0.0 and records[0].ell_l2 == 0.0
 
     def test_short_decaying_run_asserted_bounds_hold(self, grid3d):

@@ -21,9 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elflow.diagnostics import record_el
 from elflow.el import derive, el_step
-from elflow.fields import magnitude
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import (
@@ -31,6 +29,7 @@ from elflow.identities import (
     check_gamma_commutation, make_test_state, random_displacement,
 )
 from elflow.initial import random_scalar
+from elflow.runner import el_sample
 
 GRID = Grid(3, 16, 2.0 * np.pi)
 FORCE = ForcingSpec("single_mode", amplitude=0.5)
@@ -50,14 +49,6 @@ def peak_fields(fn, grid: Grid = GRID) -> float:
     return peak / (8 * grid.n**grid.dim)
 
 
-def _el_sample(state):
-    """One sample of ``runner.run_el``: derive the state, take |C| once and
-    record the time-series row."""
-    d = derive(state)
-    c_mag = magnitude(d.C)
-    return record_el(state, d, NU, forcing=FORCE, c_mag=c_mag), c_mag
-
-
 def _calls(grid: Grid = GRID):
     state = make_test_state(grid, 1, 0.05)
     ell = random_displacement(grid, 1, 0.2)
@@ -65,7 +56,7 @@ def _calls(grid: Grid = GRID):
     return {
         "el_step": lambda: el_step(state, FORCE, 2e-3, nu=NU),
         "derive": lambda: derive(state),
-        "el_sample": lambda: _el_sample(state),
+        "el_sample": lambda: el_sample(state, NU, forcing=FORCE),
         "check_C_evolution": lambda: check_C_evolution(state, 2e-3, nu=NU),
         "check_gamma_commutation": lambda: check_gamma_commutation(state, g, 2e-3, nu=NU),
         "check_braces": lambda: check_braces(ell),
