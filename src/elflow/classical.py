@@ -46,7 +46,7 @@ def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NS
     ``stepping.CFL_LIMIT`` and ``BlowUpError`` on non-finite output.
     """
     grid = state.u.grid
-    force = None if forcing.is_zero else forcing.field(grid, state.t)
+    force = None if forcing.is_zero else forcing.field(grid)
 
     def rhs(yhat, t):
         return _nonlinear_hat(grid, yhat, force)

@@ -14,10 +14,7 @@ import sys
 
 from .config import PRESETS, load_config, preset
 from .errors import ConfigError, ElflowError
-from .runner import execute
-
-COMMANDS = ("run", "compare", "verify-identities", "bounds-report",
-            "pair-dispersion")
+from .runner import COMMANDS, execute
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -131,23 +131,30 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
+        """Build and validate a configuration from a JSON document; ``data``
+        is not modified."""
         try:
-            for key, sub in (("grid", GridConfig), ("initial", InitialConfig),
-                             ("forcing", ForcingSpec), ("reset", ResetConfig),
-                             ("mc", MCConfig)):
-                if key in data:
-                    if not isinstance(data[key], dict):
-                        raise ConfigError(f"{key} must be a JSON object, "
-                                          f"got {data[key]!r}")
-                    data[key] = sub(**data[key])
-            for key in ("m_list", "identity_dts"):
-                if key in data:
-                    data[key] = tuple(data[key])
-            cfg = cls(**data)
+            cfg = _build(cls, data)
         except TypeError as exc:
             raise ConfigError(f"bad configuration document: {exc}") from exc
         return cfg.validate()
+
+
+def _build(cls, data: dict):
+    """``cls`` from a document: the fields whose default is a dataclass are
+    sections, built the same way, and the tuple-typed fields take lists."""
+    kwargs = dict(data)
+    for f in fields(cls):
+        if f.name not in kwargs:
+            continue
+        if is_dataclass(f.default_factory):
+            if not isinstance(kwargs[f.name], dict):
+                raise ConfigError(f"{f.name} must be a JSON object, "
+                                  f"got {kwargs[f.name]!r}")
+            kwargs[f.name] = _build(f.default_factory, kwargs[f.name])
+        elif f.type.startswith("tuple["):
+            kwargs[f.name] = tuple(kwargs[f.name])
+    return cls(**kwargs)
 
 
 def _is_int(value) -> bool:
@@ -199,61 +206,43 @@ def load_config(path) -> RunConfig:
 
 
 # -- shipped desk-scale presets ---------------------------------------------------
-
-def _desk_2d() -> RunConfig:
-    return RunConfig(
-        grid=GridConfig(dim=2, n=64), nu=0.01, dt=1e-3, t_end=1.0,
-        initial=InitialConfig(kind="taylor_green"), mode="compare",
-    )
-
-
-def _desk_3d() -> RunConfig:
-    return RunConfig(
-        grid=GridConfig(dim=3, n=32), nu=0.01, dt=1e-3, t_end=0.5,
-        initial=InitialConfig(kind="taylor_green"), mode="compare",
-        m_list=(2,), cadence=25,
-    )
-
-
-def _bounds_3d(n: int = 32) -> RunConfig:
-    return RunConfig(
-        grid=GridConfig(dim=3, n=n), nu=0.05, dt=5e-3, t_end=2.0,
-        initial=InitialConfig(kind="taylor_green", amplitude=0.2),
-        forcing=ForcingSpec(kind="single_mode", amplitude=0.02, mode=2),
-        reset=ResetConfig(enabled=False), mode="el", m_list=(2, 3), cadence=20,
-    )
-
-
-def _euler_2d() -> RunConfig:
-    # short enough that the deformation stays invertible without resets
-    return RunConfig(
-        grid=GridConfig(dim=2, n=128), nu=0.0, dt=5e-3, t_end=0.2,
-        initial=InitialConfig(kind="taylor_green"), mode="el", cadence=5,
-        reset=ResetConfig(enabled=False),
-    )
-
-
-def _euler_3d() -> RunConfig:
-    return RunConfig(
-        grid=GridConfig(dim=3, n=32), nu=0.0, dt=2e-3, t_end=0.2,
-        initial=InitialConfig(kind="abc", amplitude=0.5), mode="el",
-        m_list=(2,), cadence=10, reset=ResetConfig(enabled=False),
-    )
-
+# Configuration documents, loaded as any --config document is. Floats are
+# written as floats: config.json and the config hash keep the JSON spelling.
 
 PRESETS = {
-    "desk-2d": _desk_2d,
-    "desk-3d": _desk_3d,
-    "bounds-3d": _bounds_3d,
-    "euler-2d": _euler_2d,
-    "euler-3d": _euler_3d,
+    "desk-2d": {
+        "grid": {"dim": 2, "n": 64}, "nu": 0.01, "dt": 1e-3, "t_end": 1.0,
+        "initial": {"kind": "taylor_green"}, "mode": "compare",
+    },
+    "desk-3d": {
+        "grid": {"dim": 3, "n": 32}, "nu": 0.01, "dt": 1e-3, "t_end": 0.5,
+        "initial": {"kind": "taylor_green"}, "mode": "compare",
+        "m_list": [2], "cadence": 25,
+    },
+    "bounds-3d": {
+        "grid": {"dim": 3, "n": 32}, "nu": 0.05, "dt": 5e-3, "t_end": 2.0,
+        "initial": {"kind": "taylor_green", "amplitude": 0.2},
+        "forcing": {"kind": "single_mode", "amplitude": 0.02, "mode": 2},
+        "reset": {"enabled": False}, "mode": "el", "m_list": [2, 3], "cadence": 20,
+    },
+    # short enough that the deformation stays invertible without resets
+    "euler-2d": {
+        "grid": {"dim": 2, "n": 128}, "nu": 0.0, "dt": 5e-3, "t_end": 0.2,
+        "initial": {"kind": "taylor_green"}, "mode": "el", "cadence": 5,
+        "reset": {"enabled": False},
+    },
+    "euler-3d": {
+        "grid": {"dim": 3, "n": 32}, "nu": 0.0, "dt": 2e-3, "t_end": 0.2,
+        "initial": {"kind": "abc", "amplitude": 0.5}, "mode": "el",
+        "m_list": [2], "cadence": 10, "reset": {"enabled": False},
+    },
 }
 
 
 def preset(name: str) -> RunConfig:
     try:
-        builder = PRESETS[name]
+        document = PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
-    return builder().validate()
+    return RunConfig.from_dict(document)

@@ -107,7 +107,7 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
     v_norms = {m: lp_norm(state.v, 2 * m) for m in m_list}
     g_norms = None
     if forcing is not None and not forcing.is_zero:
-        f = forcing.field(grid, state.t)
+        f = forcing.field(grid)
         g = Field(grid, _label(derived.Q.data, f.data))
         g_norms = {m: lp_norm(g, 2 * m) for m in m_list}
     hel = helicity(derived.w, derived.u) if grid.dim == 3 else None

@@ -313,7 +313,7 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
     grid = state.ell.grid
     d = grid.dim
     dynamic = state.potential_mode == "dynamic"
-    force = None if forcing.is_zero else forcing.field(grid, state.t)
+    force = None if forcing.is_zero else forcing.field(grid)
     scalars = ([state.n_pot] if dynamic else []) + list(passive)
     yhat = to_spectral(grid, np.concatenate(
         [state.ell.data, state.v.data] + [s.data[None] for s in scalars]))
@@ -402,7 +402,7 @@ def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
                    nu: float) -> WState:
     """Advance G w + (grad u)^T w = f with u = P(w) at every stage."""
     grid = state.w.grid
-    force = None if forcing.is_zero else forcing.field(grid, state.t)
+    force = None if forcing.is_zero else forcing.field(grid)
 
     def rhs(yhat, t):
         return _cotangent_nonlinear_hat(grid, yhat, force)

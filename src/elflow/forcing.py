@@ -35,8 +35,6 @@ class ForcingSpec:
     second_weight: float = 0.5
 
     def __post_init__(self):
-        # a configuration document gives modes as a list
-        object.__setattr__(self, "modes", tuple(self.modes))
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown forcing kind {self.kind!r}; choose from {_KINDS}")
         if self.kind != "zero" and self.amplitude < 0:
@@ -48,8 +46,8 @@ class ForcingSpec:
     def is_zero(self) -> bool:
         return self.kind == "zero" or self.amplitude == 0.0
 
-    def field(self, grid: Grid, t: float = 0.0) -> Field:
-        """Sample the force at time t (the catalog is steady; t is ignored)."""
+    def field(self, grid: Grid) -> Field:
+        """Sample the force on ``grid`` (the catalog is steady)."""
         if self.is_zero:
             return zeros(grid, 1)
         x = grid.coords()

@@ -72,13 +72,12 @@ def random_scalar(grid: Grid, seed: int, *, band: int | None = None,
 
 
 def random_bandlimited(grid: Grid, seed: int, *, band: int | None = None,
-                       width: float | None = None,
                        amplitude: float = 1.0) -> Field:
     """Random divergence-free velocity with sup |u| = amplitude."""
     band = grid.n // 4 if band is None else band
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((grid.dim, *grid.shape))
-    hat = to_spectral(grid, white) * _band_envelope(grid, band, width)
+    hat = to_spectral(grid, white) * _band_envelope(grid, band, None)
     u = leray_project(Field(grid, to_physical(grid, hat)))
     peak = sup_norm(u)
     if peak > 0:

@@ -40,12 +40,13 @@ from .snapshots import write_snapshot
 from .spectral import gradient, leray_project
 
 __all__ = [
-    "RunResult", "CompareReport", "initial_velocity", "run_classical", "run_el",
-    "el_sample",
-    "run_cotangent", "compare_runs", "execute", "bounds_suite",
+    "COMMANDS", "RunResult", "CompareReport", "initial_velocity", "run_classical",
+    "run_el", "el_sample", "run_cotangent", "compare_runs", "execute", "bounds_suite",
     "identity_suite_with_orders",
 ]
 
+COMMANDS = ("run", "compare", "verify-identities", "bounds-report",
+            "pair-dispersion")
 RMS_BLOWUP_FACTOR = 1e6
 # Label reset when sup|grad ell| crosses this (with reset.enabled).
 RESET_THRESHOLD = 0.25
@@ -349,27 +350,18 @@ def _manifest(outdir: Path, cfg: RunConfig) -> None:
                 {"config_hash": cfg.config_hash(), "files": files})
 
 
-def _emit_common(outdir: Path, cfg: RunConfig, result: RunResult) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "config.json", cfg.to_dict())
-    write_timeseries_csv(result.records, outdir / "timeseries.csv",
-                         m_list=cfg.m_list)
-    if result.resets:
-        _write_json(outdir / "resets.json", {"times": result.resets})
-    if result.failure is not None:
-        _write_json(outdir / "failure.json", result.failure)
-    _emit_snapshots(outdir, result)
-
-
 def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
-    """Run one CLI command; returns the process exit code.
+    """Run one of ``COMMANDS``; returns the process exit code.
 
     0 success, 2 solver failure, in a run or in the identity suite's steps
-    (partial artifacts emitted), 3 assertion
-    failure in a bound/identity suite. Configuration errors raise
+    (partial artifacts emitted), 3 assertion failure in a bound/identity
+    suite. An unknown command and configuration errors raise
     ``ConfigError`` for the CLI to map to exit code 1, before any step or
-    output directory.
+    output directory. Every command that runs writes ``config.json`` first
+    and ``manifest.json`` last.
     """
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     if command in ("bounds-report", "pair-dispersion"):
         _require_unbroken(cfg)
     if command != "verify-identities":
@@ -377,44 +369,30 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
         _plan_steps(cfg, u0)   # a step count from cfl_target needs u0
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
+    _write_json(outdir / "config.json", cfg.to_dict())
     if command == "verify-identities":
-        _write_json(outdir / "config.json", cfg.to_dict())
-        try:
-            payload = identity_suite_with_orders(cfg)
-        except ElflowError as exc:
-            _write_json(outdir / "failure.json", _failure(exc, "identities", None))
-            _manifest(outdir, cfg)
-            return 2
-        _write_json(outdir / "report_identities.json", payload)
-        _manifest(outdir, cfg)
-        ok = all(r.passed for r in payload["reports"]) and payload["orders_pass"]
-        return 0 if ok else 3
+        code = _verify_identities(cfg, outdir)
+    else:
+        code = _solve(cfg, outdir, u0, command)
+    _manifest(outdir, cfg)
+    return code
 
-    if command in ("bounds-report", "pair-dispersion"):
-        result = run_el(cfg, u0)
-        _emit_common(outdir, cfg, result)
-        if result.failure is not None:
-            _manifest(outdir, cfg)
-            return 2
-        if command == "bounds-report":
-            reports = bounds_suite(cfg, result)
-            _write_json(outdir / "report_bounds.json", reports)
-            ok = (
-                asserted_pass(reports["k_bounds"].checks)
-                and asserted_pass(reports["displacement"])
-                and all(asserted_pass(v.checks) for v in reports["v_growth"])
-                and reports["dispersion"].passed
-            )
-        else:
-            report = _pair_dispersion(cfg, result)
-            _write_json(outdir / "report_dispersion.json", report)
-            ok = report.passed
-        _manifest(outdir, cfg)
-        return 0 if ok else 3
 
-    # command == "run" or "compare"
-    mode = "compare" if command == "compare" else cfg.mode
+def _verify_identities(cfg: RunConfig, outdir: Path) -> int:
+    try:
+        payload = identity_suite_with_orders(cfg)
+    except ElflowError as exc:
+        _write_json(outdir / "failure.json", _failure(exc, "identities", None))
+        return 2
+    _write_json(outdir / "report_identities.json", payload)
+    ok = all(r.passed for r in payload["reports"]) and payload["orders_pass"]
+    return 0 if ok else 3
+
+
+def _solve(cfg: RunConfig, outdir: Path, u0: Field, command: str) -> int:
+    """The commands that step a solver: ``run`` steps ``cfg.mode``, the
+    others EL (``compare`` beside its oracle)."""
+    mode = {"run": cfg.mode, "compare": "compare"}.get(command, "el")
     if mode == "compare":
         result = run_el(cfg, u0)
         if cfg.compare_kind == "classical":
@@ -424,13 +402,34 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
         else:
             other = run_el(cfg, u0, v0=gauge_twin_initial(u0))
         result.failure = result.failure or other.failure
-        _emit_common(outdir, cfg, result)
         if result.failure is None:
             report = compare_runs(result, other, kind=cfg.compare_kind)
             _write_json(outdir / "report_compare.json", report)
+    elif mode == "classical":
+        result = run_classical(cfg, u0)
+    elif mode == "cotangent":
+        result = run_cotangent(cfg, u0)
     else:
-        run = {"classical": run_classical, "el": run_el, "cotangent": run_cotangent}[mode]
-        result = run(cfg, u0)
-        _emit_common(outdir, cfg, result)
-    _manifest(outdir, cfg)
-    return 2 if result.failure is not None else 0
+        result = run_el(cfg, u0)
+    write_timeseries_csv(result.records, outdir / "timeseries.csv",
+                         m_list=cfg.m_list)
+    if result.resets:
+        _write_json(outdir / "resets.json", {"times": result.resets})
+    _emit_snapshots(outdir, result)
+    if result.failure is not None:
+        _write_json(outdir / "failure.json", result.failure)
+        return 2
+    if command == "bounds-report":
+        reports = bounds_suite(cfg, result)
+        _write_json(outdir / "report_bounds.json", reports)
+        return 0 if (
+            asserted_pass(reports["k_bounds"].checks)
+            and asserted_pass(reports["displacement"])
+            and all(asserted_pass(v.checks) for v in reports["v_growth"])
+            and reports["dispersion"].passed
+        ) else 3
+    if command == "pair-dispersion":
+        report = _pair_dispersion(cfg, result)
+        _write_json(outdir / "report_dispersion.json", report)
+        return 0 if report.passed else 3
+    return 0

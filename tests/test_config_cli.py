@@ -95,8 +95,17 @@ class TestConfig:
         assert cfg.nu == 0.0
 
     def test_presets_all_valid(self):
-        for name in ("desk-2d", "desk-3d", "bounds-3d", "euler-2d", "euler-3d"):
-            assert preset(name).config_hash()
+        # the hashes pin each preset's config.json bytes; loading twice
+        # shows that loading leaves the preset documents as they were
+        hashes = {
+            "desk-2d": "e3bac2edaa5f03ef54e0ad471c7e61be6578dc77b50b86c05bbef4492c5b30ab",
+            "desk-3d": "2cd9c2a8bc0d5b8ef29671a7518fa71d5cd97dd3616e7b7bf6f9984af8351825",
+            "bounds-3d": "254045ad584fceb8f523d39327c9ae6326d6d76ee4808a5340941f1b8faff39c",
+            "euler-2d": "0bd0ca844fce861b69fbc49d5a4371ceb402e9aff8a7903a84830d82a1951853",
+            "euler-3d": "5c85781bef91915046c6aa56eade2024f6af02ee39e4ee95d7e3e06c4ce54a0b",
+        }
+        for name, digest in [*hashes.items(), *hashes.items()]:
+            assert preset(name).config_hash() == digest
         with pytest.raises(ConfigError):
             preset("desk-9d")
 
@@ -201,8 +210,9 @@ class TestCLI:
                      "--out", str(tmp_path / "o")]) == 1
 
     def test_bounds_report_rejects_resets_before_any_step(self, tmp_path):
-        # both bound commands assume an unbroken run from t = 0
-        for command in ("bounds-report", "pair-dispersion"):
+        # both bound commands assume an unbroken run from t = 0; a command
+        # that is none of runner.COMMANDS fails the same way
+        for command in ("bounds-report", "pair-dispersion", "bogus"):
             out = tmp_path / command
             with pytest.raises(ConfigError):
                 execute(tiny_config(mode="el"), out, command=command)
