@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NearSingularJacobianError
 from .fields import Field, sup_norm, zeros
 from .forcing import ForcingSpec
-from .grid import Grid
+from .grid import Grid, tables
 from .spectral import (
     dealias_hat, divergence, grad_hat, gradient, inverse_laplacian, leray_hat,
     quadratic_pressure_hat, second_derivs, to_physical, to_spectral, _zero_mode,
@@ -286,8 +286,10 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
     gv = to_physical(grid, grad_hat(grid, vhat))  # gv[k, m] = d_k v_m
     g_v = _advection_hat(grid, u, gv)
     if nu > 0.0:
-        source = _commutator_source(grid, q, lhat, gv)
-        g_v += 2.0 * nu * dealias_hat(grid, to_spectral(grid, source))
+        source = to_spectral(grid, _commutator_source(grid, q, lhat, gv))
+        source *= tables(grid).dealias_mask   # dealias_hat, in place
+        source *= 2.0 * nu
+        g_v += source
         del source
     del gv   # the force term needs q alone
     if force is not None:

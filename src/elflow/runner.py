@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -40,8 +41,9 @@ from .snapshots import write_snapshot
 from .spectral import gradient, leray_project
 
 __all__ = [
-    "COMMANDS", "RunResult", "CompareReport", "initial_velocity", "run_classical",
-    "run_el", "el_sample", "run_cotangent", "compare_runs", "execute", "bounds_suite",
+    "COMMANDS", "RunResult", "CompareReport", "Lockstep", "initial_velocity",
+    "run_classical", "run_el", "el_sample", "run_cotangent", "compare_runs",
+    "execute", "bounds_suite",
     "identity_suite_with_orders",
 ]
 
@@ -59,9 +61,6 @@ class RunResult:
     config: RunConfig
     kind: str
     records: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    u_series: list = field(default_factory=list)
-    w_series: list = field(default_factory=list)
     resets: list = field(default_factory=list)
     # "initial"/"final" -> (t, the named fields that solver's snapshots write)
     snapshots: dict = field(default_factory=dict)
@@ -102,17 +101,22 @@ def _failure(exc: ElflowError, solver: str, t: float | None) -> dict:
     return {"error": type(exc).__name__, "message": str(exc), "t": t, "solver": solver}
 
 
-def _drive(result: RunResult, state, u0: Field, step, sample) -> RunResult:
-    """The step loop every solver runs, from ``state``.
+def _drive(result: RunResult, state, u0: Field, step, sample) -> Iterator[tuple[float, dict]]:
+    """The step loop every solver runs, from ``state``, as a generator of
+    its samples ``(t, fields)``: at t = 0, every ``cadence`` steps and after
+    the last step.
 
     ``step(state, dt)`` returns the next state and the field the RMS guard
-    watches; ``sample(state)`` returns a diagnostics record and the named
-    fields of the state's snapshots, among them the velocity ``u`` and, for
-    the EL and cotangent solvers, the cotangent field ``w``. The step count
-    and the RMS reference come from ``u0``. Only the fields of the first and
-    of the final sample are kept. A solver error ends the run and is kept in
-    ``result.failure`` with the name of the solver; the last state it reached
-    is then sampled for its snapshot fields, without a record.
+    watches; ``sample(state)`` returns a diagnostics record, which is
+    appended to ``result.records``, and the named fields of the state's
+    snapshots, among them the velocity ``u`` and, for the EL and cotangent
+    solvers, the cotangent field ``w``. The step count and the RMS reference
+    come from ``u0``. Only the fields of the first and of the final sample
+    are kept. A solver error ends the samples and is kept in
+    ``result.failure`` with the name of the solver; the last state it
+    reached is then sampled for its snapshot fields, without a record.
+    Nothing is stepped past the last sample taken; ``result.final_state``
+    is set once the samples have run out.
     """
     cfg = result.config
     steps, dt = _plan_steps(cfg, u0)
@@ -121,29 +125,39 @@ def _drive(result: RunResult, state, u0: Field, step, sample) -> RunResult:
     def record(state):
         rec, fields = sample(state)
         result.records.append(rec)
-        result.times.append(state.t)
-        result.u_series.append(fields["u"])
-        if "w" in fields:
-            result.w_series.append(fields["w"])
         return state.t, fields
 
     result.snapshots["initial"] = record(state)
+    yield result.snapshots["initial"]
     try:
         for i in range(1, steps + 1):
             state, watched = step(state, dt)
             _guard_rms(watched, initial_rms, state.t)
             if i == steps:
                 result.snapshots["final"] = record(state)
+                yield result.snapshots["final"]
             elif i % cfg.cadence == 0:
-                record(state)
+                yield record(state)
     except ElflowError as exc:
         result.failure = _failure(exc, result.kind, state.t)
         result.snapshots["final"] = state.t, sample(state)[1]
     result.final_state = state
+
+
+def _run(result: RunResult, samples, each_sample=None) -> RunResult:
+    """Take every one of a run's ``samples``; each is passed to
+    ``each_sample`` (if any) and dropped before the next is made."""
+    for t, fields in samples:
+        if each_sample is not None:
+            each_sample(t, fields)
+        del fields
     return result
 
 
-def run_classical(cfg: RunConfig, u0: Field) -> RunResult:
+# An unstarted run of each solver: its result and the generator of its samples,
+# which fills that result as it is advanced.
+
+def _classical(cfg: RunConfig, u0: Field):
     def step(state, dt):
         state = ns_step(state, cfg.forcing, dt, nu=cfg.nu)
         return state, state.u
@@ -151,11 +165,24 @@ def run_classical(cfg: RunConfig, u0: Field) -> RunResult:
     def sample(state):
         return record_classical(state, cfg.nu), {"u": state.u.copy()}
 
-    return _drive(RunResult(cfg, "classical"), NSState(0.0, u0), u0, step, sample)
+    result = RunResult(cfg, "classical")
+    return result, _drive(result, NSState(0.0, u0), u0, step, sample)
 
 
-def run_el(cfg: RunConfig, u0: Field, v0: Field | None = None) -> RunResult:
-    """EL run from v0 (default u0); the step plan always comes from u0."""
+def _cotangent(cfg: RunConfig, u0: Field):
+    def step(state, dt):
+        state = cotangent_step(state, cfg.forcing, dt, nu=cfg.nu)
+        return state, state.w
+
+    def sample(state):
+        u = leray_project(state.w)
+        return record_classical(NSState(state.t, u), cfg.nu), {"w": state.w.copy(), "u": u}
+
+    result = RunResult(cfg, "cotangent")
+    return result, _drive(result, WState(0.0, u0), u0, step, sample)
+
+
+def _el(cfg: RunConfig, u0: Field, v0: Field | None = None):
     result = RunResult(cfg, "el")
 
     def step(state, dt):
@@ -169,31 +196,35 @@ def run_el(cfg: RunConfig, u0: Field, v0: Field | None = None) -> RunResult:
         return el_sample(state, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing)
 
     state = initial_state(v0 if v0 is not None else u0, potential_mode=cfg.potential_mode)
-    return _drive(result, state, u0, step, sample)
+    return result, _drive(result, state, u0, step, sample)
+
+
+def run_classical(cfg: RunConfig, u0: Field) -> RunResult:
+    return _run(*_classical(cfg, u0))
+
+
+def run_cotangent(cfg: RunConfig, u0: Field) -> RunResult:
+    return _run(*_cotangent(cfg, u0))
+
+
+def run_el(cfg: RunConfig, u0: Field, each_sample=None) -> RunResult:
+    """EL run from u0; ``each_sample(t, fields)`` sees every sample as it
+    is made."""
+    return _run(*_el(cfg, u0), each_sample)
 
 
 def el_sample(state: ELState, nu: float, *, m_list=(2, 3), forcing=None):
     """One sample of ``run_el``: the diagnostics record of ``state`` and the
     named fields of its snapshots. The state is derived once and ``|C|``
-    taken once."""
+    taken once; ``C`` and ``grad A`` are released before the record, which
+    reads ``u``, ``w``, ``Q`` and ``det``."""
     d = derive(state)
     c_mag = magnitude(d.C)
+    d.C = d.grad_A = None
     record = record_el(state, d, nu, c_mag=c_mag, m_list=m_list, forcing=forcing)
     return record, {
         "ell": state.ell, "v": state.v, "u": d.u, "n": d.n, "w": d.w,
         "det_grad_A": d.det, "C_magnitude": Field(state.ell.grid, c_mag)}
-
-
-def run_cotangent(cfg: RunConfig, u0: Field) -> RunResult:
-    def step(state, dt):
-        state = cotangent_step(state, cfg.forcing, dt, nu=cfg.nu)
-        return state, state.w
-
-    def sample(state):
-        u = leray_project(state.w)
-        return record_classical(NSState(state.t, u), cfg.nu), {"w": state.w.copy(), "u": u}
-
-    return _drive(RunResult(cfg, "cotangent"), WState(0.0, u0), u0, step, sample)
 
 
 def gauge_twin_initial(u0: Field) -> Field:
@@ -216,42 +247,96 @@ def gauge_twin_initial(u0: Field) -> Field:
 @dataclass
 class CompareReport:
     kind: str
-    times: list
-    rel_l2: list
-    rel_linf: list
-    max_rel_l2: float
-    max_rel_linf: float
+    times: list = field(default_factory=list)
+    rel_l2: list = field(default_factory=list)
+    rel_linf: list = field(default_factory=list)
+    max_rel_l2: float | None = None
+    max_rel_linf: float | None = None
     w_rel_l2: list | None = None
     max_w_rel_l2: float | None = None
 
 
-def compare_runs(a: RunResult, b: RunResult, kind: str = "") -> CompareReport:
-    """Relative velocity differences on matching sample times.
+def _rel(a: Field, b: Field, norm) -> float:
+    return norm(Field(a.grid, a.data - b.data)) / max(norm(b), 1e-300)
 
-    Raises ``ConfigError`` on mismatched grids or sample times. The relative
-    L2 difference of the cotangent series is included for cotangent
-    comparisons (gauge twins legitimately differ by a gradient there).
+
+class Lockstep:
+    """An oracle run of ``kind`` (``classical``, ``cotangent`` or ``gauge``,
+    the EL twin from ``gauge_twin_initial``) stepped beside a driving run,
+    one sample at a time.
+
+    Each call with a sample ``(t, fields)`` of the driving run takes the
+    oracle's next sample, which must be of the same grid and time
+    (``ConfigError`` otherwise), and folds the relative L2 and sup-norm
+    differences of the velocities into ``report``, and for a cotangent
+    comparison the relative L2 difference of the cotangent fields (gauge
+    twins legitimately differ by a gradient there). Once the oracle has
+    failed, a call does nothing; the failure is in ``result.failure``.
     """
-    if a.config.grid != b.config.grid:
-        raise ConfigError("compare_runs: mismatched grids")
-    if len(a.times) != len(b.times) or any(
-            abs(ta - tb) > 1e-12 for ta, tb in zip(a.times, b.times)):
-        raise ConfigError("compare_runs: mismatched sample times")
 
-    def rel(series_a, series_b, norm):
-        return [norm(Field(fa.grid, fa.data - fb.data)) / max(norm(fb), 1e-300)
-                for fa, fb in zip(series_a, series_b)]
+    def __init__(self, cfg: RunConfig, u0: Field, kind: str):
+        if kind == "classical":
+            run = _classical(cfg, u0)
+        elif kind == "cotangent":
+            run = _cotangent(cfg, u0)
+        else:
+            run = _el(cfg, u0, v0=gauge_twin_initial(u0))
+        self.result, self._samples = run
+        self.report = CompareReport(kind, w_rel_l2=[] if kind == "cotangent" else None)
 
-    rel_l2 = rel(a.u_series, b.u_series, l2_norm)
-    rel_linf = rel(a.u_series, b.u_series, sup_norm)
-    w_rel = None
-    if kind == "cotangent" and a.w_series and b.w_series:
-        w_rel = rel(a.w_series, b.w_series, l2_norm)
-    return CompareReport(
-        kind=kind, times=list(a.times), rel_l2=rel_l2, rel_linf=rel_linf,
-        max_rel_l2=max(rel_l2), max_rel_linf=max(rel_linf),
-        w_rel_l2=w_rel, max_w_rel_l2=max(w_rel) if w_rel else None,
-    )
+    def __call__(self, t: float, fields: dict) -> None:
+        sample = next(self._samples, None)
+        if sample is None:
+            if self.result.failure is None:
+                raise ConfigError("compare_runs: mismatched sample times")
+            return
+        t_oracle, oracle = sample
+        if fields["u"].grid != oracle["u"].grid:
+            raise ConfigError("compare_runs: mismatched grids")
+        if abs(t - t_oracle) > 1e-12:
+            raise ConfigError("compare_runs: mismatched sample times")
+        report = self.report
+        report.times.append(t)
+        report.rel_l2.append(_rel(fields["u"], oracle["u"], l2_norm))
+        report.rel_linf.append(_rel(fields["u"], oracle["u"], sup_norm))
+        if report.w_rel_l2 is not None:
+            report.w_rel_l2.append(_rel(fields["w"], oracle["w"], l2_norm))
+
+    def finish(self) -> CompareReport:
+        """The report of an unbroken pair of runs, whose samples end together."""
+        if next(self._samples, None) is not None:
+            raise ConfigError("compare_runs: mismatched sample times")
+        report = self.report
+        report.max_rel_l2, report.max_rel_linf = max(report.rel_l2), max(report.rel_linf)
+        if report.w_rel_l2 is not None:
+            report.max_w_rel_l2 = max(report.w_rel_l2)
+        return report
+
+
+def compare_runs(cfg: RunConfig, u0: Field,
+                 kinds: tuple[str, ...] | None = None) -> tuple[RunResult, dict]:
+    """EL beside one oracle run per comparison kind (default
+    ``cfg.compare_kind``), in lockstep.
+
+    Each EL sample advances every oracle to the same time and is folded
+    into that oracle's ``CompareReport`` at once (``Lockstep``), so no run
+    keeps a series of fields. A failing oracle stops while EL runs on to
+    ``t_end``; a failing EL run stops the oracles. Returns the EL run, whose
+    ``failure`` is its own or else the first oracle's, and the reports by
+    kind, none if a run failed.
+    """
+    oracles = {kind: Lockstep(cfg, u0, kind) for kind in kinds or (cfg.compare_kind,)}
+
+    def each_sample(t, fields):
+        for oracle in oracles.values():
+            oracle(t, fields)
+
+    result = run_el(cfg, u0, each_sample=each_sample)
+    for oracle in oracles.values():
+        result.failure = result.failure or oracle.result.failure
+    if result.failure is not None:
+        return result, {}
+    return result, {kind: oracle.finish() for kind, oracle in oracles.items()}
 
 
 # -- bound and identity suites ------------------------------------------------------
@@ -394,17 +479,9 @@ def _solve(cfg: RunConfig, outdir: Path, u0: Field, command: str) -> int:
     others EL (``compare`` beside its oracle)."""
     mode = {"run": cfg.mode, "compare": "compare"}.get(command, "el")
     if mode == "compare":
-        result = run_el(cfg, u0)
-        if cfg.compare_kind == "classical":
-            other = run_classical(cfg, u0)
-        elif cfg.compare_kind == "cotangent":
-            other = run_cotangent(cfg, u0)
-        else:
-            other = run_el(cfg, u0, v0=gauge_twin_initial(u0))
-        result.failure = result.failure or other.failure
-        if result.failure is None:
-            report = compare_runs(result, other, kind=cfg.compare_kind)
-            _write_json(outdir / "report_compare.json", report)
+        result, reports = compare_runs(cfg, u0)
+        if reports:
+            _write_json(outdir / "report_compare.json", reports[cfg.compare_kind])
     elif mode == "classical":
         result = run_classical(cfg, u0)
     elif mode == "cotangent":

@@ -19,8 +19,8 @@ from elflow.grid import Grid
 from elflow.identities import run_identity_suite
 from elflow.initial import taylor_green
 from elflow.runner import (
-    bounds_suite, compare_runs, gauge_twin_initial, identity_suite_with_orders,
-    initial_velocity, run_classical, run_cotangent, run_el,
+    bounds_suite, compare_runs, identity_suite_with_orders, initial_velocity,
+    run_el,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -33,6 +33,13 @@ def report(name, value, tol, passed):
 
 # -- shared runs ---------------------------------------------------------------
 
+def _el_beside_both_oracles(cfg):
+    """One EL run with the classical and the cotangent solver in lockstep."""
+    result, reports = compare_runs(cfg, initial_velocity(cfg), ("classical", "cotangent"))
+    assert result.failure is None, result.failure
+    return {"el": result, **reports, "cfg": cfg}
+
+
 @pytest.fixture(scope="module")
 def runs_2d():
     cfg = RunConfig(grid=GridConfig(dim=2, n=64), nu=0.01, dt=1e-3, t_end=1.0,
@@ -40,9 +47,7 @@ def runs_2d():
                     reset=ResetConfig(enabled=True),
                     cadence=10, m_list=(2,))
     cfg.validate()
-    u0 = initial_velocity(cfg)
-    return {"el": run_el(cfg, u0), "ns": run_classical(cfg, u0),
-            "cot": run_cotangent(cfg, u0), "cfg": cfg}
+    return _el_beside_both_oracles(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +57,7 @@ def runs_3d():
                     reset=ResetConfig(enabled=True),
                     cadence=25, m_list=(2,))
     cfg.validate()
-    u0 = initial_velocity(cfg)
-    return {"el": run_el(cfg, u0), "ns": run_classical(cfg, u0),
-            "cot": run_cotangent(cfg, u0), "cfg": cfg}
+    return _el_beside_both_oracles(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +77,14 @@ def bound_runs():
 
 class TestCriterion1Equivalence:
     def test_2d_taylor_green(self, runs_2d):
-        rep = compare_runs(runs_2d["el"], runs_2d["ns"], kind="classical")
+        rep = runs_2d["classical"]
         passed = rep.max_rel_l2 < 1e-5
         report("1a (2D EL vs classical, T=1)", rep.max_rel_l2, 1e-5, passed)
         assert runs_2d["el"].resets, "expected label resets along the 2D run"
         assert passed
 
     def test_3d_taylor_green(self, runs_3d):
-        rep = compare_runs(runs_3d["el"], runs_3d["ns"], kind="classical")
+        rep = runs_3d["classical"]
         passed = rep.max_rel_l2 < 1e-4
         report("1b (3D EL vs classical, T=0.5)", rep.max_rel_l2, 1e-4, passed)
         assert passed
@@ -89,13 +92,13 @@ class TestCriterion1Equivalence:
 
 class TestCriterion2Cotangent:
     def test_2d(self, runs_2d):
-        rep = compare_runs(runs_2d["el"], runs_2d["cot"], kind="cotangent")
+        rep = runs_2d["cotangent"]
         passed = rep.max_w_rel_l2 < 1e-4
         report("2a (2D cotangent consistency)", rep.max_w_rel_l2, 1e-4, passed)
         assert passed
 
     def test_3d(self, runs_3d):
-        rep = compare_runs(runs_3d["el"], runs_3d["cot"], kind="cotangent")
+        rep = runs_3d["cotangent"]
         passed = rep.max_w_rel_l2 < 1e-4
         report("2b (3D cotangent consistency)", rep.max_w_rel_l2, 1e-4, passed)
         assert passed
@@ -108,10 +111,9 @@ class TestCriterion3GaugeInvariance:
                         reset=ResetConfig(enabled=True),
                         cadence=10, m_list=(2,))
         cfg.validate()
-        u0 = initial_velocity(cfg)
-        base = run_el(cfg, u0)
-        twin = run_el(cfg, u0, v0=gauge_twin_initial(u0))
-        rep = compare_runs(twin, base, kind="gauge")
+        result, reports = compare_runs(cfg, initial_velocity(cfg), ("gauge",))
+        assert result.failure is None, result.failure
+        rep = reports["gauge"]
         passed = rep.max_rel_linf < 1e-8
         report("3 (gauge invariance, sup norm)", rep.max_rel_linf, 1e-8, passed)
         assert passed

@@ -17,9 +17,9 @@ from elflow.config import (
     GridConfig, InitialConfig, MCConfig, ResetConfig, RunConfig, load_config,
     preset,
 )
-from elflow.errors import ConfigError, NearSingularJacobianError
+from elflow.errors import BlowUpError, ConfigError, NearSingularJacobianError
 from elflow.forcing import ForcingSpec
-from elflow.runner import compare_runs, execute, initial_velocity, run_classical
+from elflow.runner import Lockstep, _classical, execute, initial_velocity
 from elflow.snapshots import read_snapshot
 
 
@@ -150,16 +150,18 @@ class TestCompareRuns:
     def test_identical_configs_give_zero(self):
         cfg = tiny_config(mode="classical")
         u0 = initial_velocity(cfg)
-        a, b = run_classical(cfg, u0), run_classical(cfg, u0)
-        rep = compare_runs(a, b)
+        beside = Lockstep(cfg, u0, "classical")
+        for t, sample in _classical(cfg, u0)[1]:
+            beside(t, sample)
+        rep = beside.finish()
         assert rep.max_rel_l2 == 0.0 and rep.max_rel_linf == 0.0
 
     def test_mismatched_grids_rejected(self):
-        a, b = (run_classical(cfg, initial_velocity(cfg)) for cfg in (
-            tiny_config(mode="classical"),
-            tiny_config(mode="classical", grid=GridConfig(dim=2, n=32))))
+        a, b = (tiny_config(mode="classical"),
+                tiny_config(mode="classical", grid=GridConfig(dim=2, n=32)))
+        beside = Lockstep(a, initial_velocity(a), "classical")
         with pytest.raises(ConfigError):
-            compare_runs(a, b)
+            beside(0.0, {"u": initial_velocity(b)})
 
 
 class TestCLI:
@@ -368,6 +370,51 @@ class TestCLI:
         finals = list(out.glob("snapshots/final_*.bin"))
         assert len(finals) == 7
         assert all(read_snapshot(f)[1]["time"] == failure["t"] for f in finals)
+
+    @staticmethod
+    def _count_steps(monkeypatch, name, fail_on=None):
+        """Count the calls of the step ``runner.<name>``; call ``fail_on`` raises."""
+        calls = []
+        step = getattr(runner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_on:
+                raise BlowUpError("forced failure")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind,step", [("classical", "ns_step"),
+                                           ("cotangent", "cotangent_step")])
+    def test_oracle_failure_lets_el_run_to_t_end(self, kind, step, tmp_path, monkeypatch):
+        self._count_steps(monkeypatch, step, fail_on=3)
+        cfg, out = tiny_config(compare_kind=kind), tmp_path / "o"
+        assert execute(cfg, out, command="compare") == 2
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["solver"] == kind and math.isclose(failure["t"], 2 * cfg.dt)
+        assert not (out / "report_compare.json").exists()
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        times = [float(r.split(",")[0]) for r in rows]
+        assert len(times) == round(cfg.t_end / cfg.dt) // cfg.cadence + 1
+        assert math.isclose(times[-1], cfg.t_end)
+        finals = list(out.glob("snapshots/final_*.bin"))
+        assert len(finals) == 7
+        assert all(math.isclose(read_snapshot(f)[1]["time"], cfg.t_end) for f in finals)
+
+    @pytest.mark.parametrize("kind,step", [("classical", "ns_step"),
+                                           ("cotangent", "cotangent_step")])
+    def test_el_failure_stops_the_oracle(self, kind, step, tmp_path, monkeypatch):
+        self._count_steps(monkeypatch, "el_step", fail_on=3)
+        oracle_steps = self._count_steps(monkeypatch, step)
+        cfg, out = tiny_config(compare_kind=kind), tmp_path / "o"
+        assert execute(cfg, out, command="compare") == 2
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["solver"] == "el" and math.isclose(failure["t"], 2 * cfg.dt)
+        # EL's last sample is after step 2; the oracle is not stepped past it
+        assert len(oracle_steps) == cfg.cadence == 2
+        assert not (out / "report_compare.json").exists()
 
     @pytest.mark.parametrize("command,overrides", [
         ("run", {"mode": "el"}),

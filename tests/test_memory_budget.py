@@ -21,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from elflow.config import GridConfig, InitialConfig, RunConfig
 from elflow.el import derive, el_step
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
@@ -29,7 +30,7 @@ from elflow.identities import (
     check_gamma_commutation, make_test_state, random_displacement,
 )
 from elflow.initial import random_scalar
-from elflow.runner import el_sample
+from elflow.runner import compare_runs, el_sample, initial_velocity
 
 GRID = Grid(3, 16, 2.0 * np.pi)
 FORCE = ForcingSpec("single_mode", amplitude=0.5)
@@ -63,13 +64,13 @@ def _calls(grid: Grid = GRID):
     }
 
 
-# Measured peaks plus about 5% (numpy 2.4): el_step 73.1, derive 62.3,
-# el_sample 76.2, check_C_evolution 97.6, check_gamma_commutation 82.7,
+# Measured peaks plus about 5% (numpy 2.4): el_step 72.8, derive 62.3,
+# el_sample 62.3, check_C_evolution 97.6, check_gamma_commutation 82.4,
 # check_braces 59.3 fields.
 BUDGETS = {
-    "el_step": 77,
+    "el_step": 76,
     "derive": 66,
-    "el_sample": 80,
+    "el_sample": 65,
     "check_C_evolution": 103,
     "check_gamma_commutation": 87,
     "check_braces": 62,
@@ -80,6 +81,22 @@ BUDGETS = {
 def test_peak_within_budget(name):
     peak = peak_fields(_calls()[name])
     assert peak <= BUDGETS[name], f"{name} peaked at {peak:.1f} fields"
+
+
+def test_compare_holds_no_series():
+    """A compare folds each sample into its report as it is made, so its
+    peak does not grow with the sample count: at cadence 1 it stays within
+    2 fields of the same compare sampled at t = 0 and t_end only."""
+    def compare(cadence):
+        cfg = RunConfig(grid=GridConfig(dim=2, n=64), nu=0.01, dt=2e-3, t_end=0.02,
+                        initial=InitialConfig(kind="random_bandlimited"),
+                        cadence=cadence, compare_kind="cotangent", m_list=(2,))
+        u0 = initial_velocity(cfg.validate())
+        return lambda: compare_runs(cfg, u0)
+
+    grid = Grid(2, 64, 2.0 * np.pi)
+    every_step, ends_only = (peak_fields(compare(c), grid) for c in (1, 10))
+    assert every_step <= ends_only + 2, (every_step, ends_only)
 
 
 if __name__ == "__main__":

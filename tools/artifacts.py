@@ -72,6 +72,8 @@ CASES = {
     "compare-classical": _case("compare", _TINY, compare_kind="classical"),
     "compare-gauge": _case("compare", _TINY, compare_kind="gauge"),
     "compare-cotangent": _case("compare", _TINY, compare_kind="cotangent"),
+    "compare-cotangent-every-step": _case("compare", _TINY, compare_kind="cotangent",
+                                          cadence=1),
     "dynamic-2d-single-mode": _case("run", _TINY, mode="el", potential_mode="dynamic",
                                     forcing=_SINGLE_MODE),
     "dynamic-3d-multi-mode": _case(
@@ -96,6 +98,10 @@ CASES = {
     "el-failure-mid-run": {**_workload("euler-cotangent-2d", seed=3, mode="el",
                                        reset={"enabled": False}, t_end=0.6),
                            "command": "run"},
+    # the same failure with the cotangent oracle beside EL
+    "compare-el-fails-mid-run": _workload("euler-cotangent-2d", seed=3,
+                                          compare_kind="cotangent",
+                                          reset={"enabled": False}, t_end=0.6),
     **{name: _workload(name) for name in
        ("bounds-3d", "compare-3d", "euler-cotangent-2d", "identities-3d")},
 }
