@@ -35,7 +35,7 @@ __all__ = [
     "IdentityReport", "TOLERANCES", "random_displacement", "make_test_state",
     "check_el_derivative_roundtrip", "check_commutator", "check_product_rule",
     "check_braces", "check_adjoint", "check_gamma_commutation",
-    "check_C_evolution", "check_Z_stability", "run_identity_suite",
+    "check_C_evolution", "run_identity_suite",
 ]
 
 TOLERANCES = {
@@ -44,7 +44,6 @@ TOLERANCES = {
     "product_rule": 1e-9,
     "braces": 1e-10,
     "adjoint": 1e-9,
-    "z_stability": 1e-11,
 }
 
 # Residuals of the time-differenced identities scale with the differencing
@@ -304,24 +303,6 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     return _report("c_evolution", residual, C_EVOLUTION_COEFF * dt,
                    {"dt": dt, "scale": scale},
                    note="forward time differencing, residual = O(dt)")
-
-
-def check_Z_stability(states) -> IdentityReport:
-    """Conditioning certificate over a run: max ||(grad A) Q - I||_inf and the
-    range of det(grad A)."""
-    worst = 0.0
-    det_min, det_max = np.inf, -np.inf
-    for state in states:
-        d = derive(state)
-        grid = state.ell.grid
-        z = np.einsum("im...,mj...->ij...", d.grad_A.data, d.Q.data)
-        for i in range(grid.dim):
-            z[i, i] -= 1.0
-        worst = max(worst, float(np.max(np.abs(z))))
-        det_min = min(det_min, float(np.min(d.det.data)))
-        det_max = max(det_max, float(np.max(d.det.data)))
-    return _report("z_stability", worst, TOLERANCES["z_stability"],
-                   {"det_min": det_min, "det_max": det_max})
 
 
 # -- suite ----------------------------------------------------------------------

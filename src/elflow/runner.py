@@ -9,6 +9,10 @@ stable serialization. Artifacts per output directory:
 * ``report_*.json``    comparison / bound / identity / dispersion reports,
 * ``failure.json``     present only if a solver aborted mid-run,
 * ``manifest.json``    config hash plus a content hash of every file above.
+
+Every solver runs the one step loop ``_drive``; only a run whose artifacts
+are written is sampled (``_run``). A compare reads its oracle's states for
+``u`` and ``w`` alone.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from .diagnostics import (
 )
 from .el import (
     ELState, WState, cotangent_step, derive, el_step, grad_ell_sup,
-    initial_state, reset_labels,
+    initial_state, reconstruct_u, reset_labels,
 )
 from .errors import ConfigError, ElflowError, BlowUpError
 from .fields import Field, l2_norm, magnitude, sup_norm
@@ -60,9 +64,11 @@ GAUGE_SEED = 42
 class RunResult:
     config: RunConfig
     kind: str
+    # one diagnostics record per sample; none for a compare's oracle
     records: list = field(default_factory=list)
     resets: list = field(default_factory=list)
-    # "initial"/"final" -> (t, the named fields that solver's snapshots write)
+    # "initial"/"final" -> (t, the named fields that solver's snapshots write);
+    # none for a compare's oracle
     snapshots: dict = field(default_factory=dict)
     final_state: object = None
     failure: dict | None = None
@@ -101,72 +107,68 @@ def _failure(exc: ElflowError, solver: str, t: float | None) -> dict:
     return {"error": type(exc).__name__, "message": str(exc), "t": t, "solver": solver}
 
 
-def _drive(result: RunResult, state, u0: Field, step, sample) -> Iterator[tuple[float, dict]]:
+def _drive(result: RunResult, state, u0: Field, step) -> Iterator[tuple[object, bool]]:
     """The step loop every solver runs, from ``state``, as a generator of
-    its samples ``(t, fields)``: at t = 0, every ``cadence`` steps and after
-    the last step.
+    its sampled states, each with a flag that marks the last: at t = 0,
+    every ``cadence`` steps and after the last step.
 
     ``step(state, dt)`` returns the next state and the field the RMS guard
-    watches; ``sample(state)`` returns a diagnostics record, which is
-    appended to ``result.records``, and the named fields of the state's
-    snapshots, among them the velocity ``u`` and, for the EL and cotangent
-    solvers, the cotangent field ``w``. The step count and the RMS reference
-    come from ``u0``. Only the fields of the first and of the final sample
-    are kept. A solver error ends the samples and is kept in
-    ``result.failure`` with the name of the solver; the last state it
-    reached is then sampled for its snapshot fields, without a record.
-    Nothing is stepped past the last sample taken; ``result.final_state``
-    is set once the samples have run out.
+    watches. The step count and the RMS reference come from ``u0``. A
+    solver error ends the states and is kept in ``result.failure`` with the
+    name of the solver. Nothing is stepped past the last state taken;
+    ``result.final_state``, the last state reached, is set once the states
+    have run out.
     """
     cfg = result.config
     steps, dt = _plan_steps(cfg, u0)
     initial_rms = float(np.sqrt(np.mean(u0.data**2)))
-
-    def record(state):
-        rec, fields = sample(state)
-        result.records.append(rec)
-        return state.t, fields
-
-    result.snapshots["initial"] = record(state)
-    yield result.snapshots["initial"]
+    yield state, False
     try:
         for i in range(1, steps + 1):
             state, watched = step(state, dt)
             _guard_rms(watched, initial_rms, state.t)
-            if i == steps:
-                result.snapshots["final"] = record(state)
-                yield result.snapshots["final"]
-            elif i % cfg.cadence == 0:
-                yield record(state)
+            if i == steps or i % cfg.cadence == 0:
+                yield state, i == steps
     except ElflowError as exc:
         result.failure = _failure(exc, result.kind, state.t)
-        result.snapshots["final"] = state.t, sample(state)[1]
     result.final_state = state
 
 
-def _run(result: RunResult, samples, each_sample=None) -> RunResult:
-    """Take every one of a run's ``samples``; each is passed to
-    ``each_sample`` (if any) and dropped before the next is made."""
-    for t, fields in samples:
+def _run(result: RunResult, states, sample, each_sample=None) -> RunResult:
+    """Sample each of a run's ``states``: the one place records and
+    snapshots are made. ``sample(state)`` returns a diagnostics record, kept
+    in ``result.records``, and the named fields of the state's snapshots,
+    kept for the first and the last state. Each sample is passed to
+    ``each_sample(t, fields)`` (if any) and dropped, with its state, before
+    the next state is made. After a failure the last state reached is
+    sampled again for its final snapshots, without a record.
+    """
+    for state, last in states:
+        record, fields = sample(state)
+        result.records.append(record)
+        if len(result.records) == 1:
+            result.snapshots["initial"] = state.t, fields
+        if last:
+            result.snapshots["final"] = state.t, fields
         if each_sample is not None:
-            each_sample(t, fields)
-        del fields
+            each_sample(state.t, fields)
+        del fields, state
+    if result.failure is not None:
+        state = result.final_state
+        result.snapshots["final"] = state.t, sample(state)[1]
     return result
 
 
-# An unstarted run of each solver: its result and the generator of its samples,
-# which fills that result as it is advanced.
+# An unstarted run of each solver: its result and the generator of its sampled
+# states, which fills that result as it is advanced.
 
 def _classical(cfg: RunConfig, u0: Field):
     def step(state, dt):
         state = ns_step(state, cfg.forcing, dt, nu=cfg.nu)
         return state, state.u
 
-    def sample(state):
-        return record_classical(state, cfg.nu), {"u": state.u.copy()}
-
     result = RunResult(cfg, "classical")
-    return result, _drive(result, NSState(0.0, u0), u0, step, sample)
+    return result, _drive(result, NSState(0.0, u0), u0, step)
 
 
 def _cotangent(cfg: RunConfig, u0: Field):
@@ -174,12 +176,8 @@ def _cotangent(cfg: RunConfig, u0: Field):
         state = cotangent_step(state, cfg.forcing, dt, nu=cfg.nu)
         return state, state.w
 
-    def sample(state):
-        u = leray_project(state.w)
-        return record_classical(NSState(state.t, u), cfg.nu), {"w": state.w.copy(), "u": u}
-
     result = RunResult(cfg, "cotangent")
-    return result, _drive(result, WState(0.0, u0), u0, step, sample)
+    return result, _drive(result, WState(0.0, u0), u0, step)
 
 
 def _el(cfg: RunConfig, u0: Field, v0: Field | None = None):
@@ -192,25 +190,41 @@ def _el(cfg: RunConfig, u0: Field, v0: Field | None = None):
             result.resets.append(state.t)
         return state, state.v
 
-    def sample(state):
-        return el_sample(state, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing)
-
     state = initial_state(v0 if v0 is not None else u0, potential_mode=cfg.potential_mode)
-    return result, _drive(result, state, u0, step, sample)
+    return result, _drive(result, state, u0, step)
+
+
+def _oracle_fields(state) -> dict:
+    """What a compare reads of an oracle state, and the snapshots of a
+    classical or cotangent run: ``u``, and ``w`` of a cotangent state."""
+    if isinstance(state, NSState):
+        return {"u": state.u}
+    if isinstance(state, WState):
+        return {"w": state.w, "u": leray_project(state.w)}
+    return {"u": reconstruct_u(state.ell, state.v)[0]}
+
+
+def _velocity_sample(state, nu: float):
+    """A sample of a classical or cotangent run: ``record_classical`` of u."""
+    fields = _oracle_fields(state)
+    return record_classical(NSState(state.t, fields["u"]), nu), fields
 
 
 def run_classical(cfg: RunConfig, u0: Field) -> RunResult:
-    return _run(*_classical(cfg, u0))
+    return _run(*_classical(cfg, u0), lambda state: _velocity_sample(state, cfg.nu))
 
 
 def run_cotangent(cfg: RunConfig, u0: Field) -> RunResult:
-    return _run(*_cotangent(cfg, u0))
+    return _run(*_cotangent(cfg, u0), lambda state: _velocity_sample(state, cfg.nu))
 
 
 def run_el(cfg: RunConfig, u0: Field, each_sample=None) -> RunResult:
     """EL run from u0; ``each_sample(t, fields)`` sees every sample as it
     is made."""
-    return _run(*_el(cfg, u0), each_sample)
+    def sample(state):
+        return el_sample(state, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing)
+
+    return _run(*_el(cfg, u0), sample, each_sample)
 
 
 def el_sample(state: ELState, nu: float, *, m_list=(2, 3), forcing=None):
@@ -263,15 +277,17 @@ def _rel(a: Field, b: Field, norm) -> float:
 class Lockstep:
     """An oracle run of ``kind`` (``classical``, ``cotangent`` or ``gauge``,
     the EL twin from ``gauge_twin_initial``) stepped beside a driving run,
-    one sample at a time.
+    one sampled state at a time.
 
     Each call with a sample ``(t, fields)`` of the driving run takes the
-    oracle's next sample, which must be of the same grid and time
-    (``ConfigError`` otherwise), and folds the relative L2 and sup-norm
-    differences of the velocities into ``report``, and for a cotangent
-    comparison the relative L2 difference of the cotangent fields (gauge
-    twins legitimately differ by a gradient there). Once the oracle has
-    failed, a call does nothing; the failure is in ``result.failure``.
+    oracle's next state, which must be of the same grid and time
+    (``ConfigError`` otherwise), reads from it only the fields compared,
+    and folds the relative L2 and sup-norm differences of the velocities
+    into ``report``, and for a cotangent comparison the relative L2
+    difference of the cotangent fields (gauge twins legitimately differ by
+    a gradient there). The oracle's ``result`` keeps no records and no
+    snapshots. Once the oracle has failed, a call does nothing; the failure
+    is in ``result.failure``.
     """
 
     def __init__(self, cfg: RunConfig, u0: Field, kind: str):
@@ -281,19 +297,19 @@ class Lockstep:
             run = _cotangent(cfg, u0)
         else:
             run = _el(cfg, u0, v0=gauge_twin_initial(u0))
-        self.result, self._samples = run
+        self.result, self._states = run
         self.report = CompareReport(kind, w_rel_l2=[] if kind == "cotangent" else None)
 
     def __call__(self, t: float, fields: dict) -> None:
-        sample = next(self._samples, None)
-        if sample is None:
+        state, _ = next(self._states, (None, None))
+        if state is None:
             if self.result.failure is None:
                 raise ConfigError("compare_runs: mismatched sample times")
             return
-        t_oracle, oracle = sample
+        oracle = _oracle_fields(state)
         if fields["u"].grid != oracle["u"].grid:
             raise ConfigError("compare_runs: mismatched grids")
-        if abs(t - t_oracle) > 1e-12:
+        if abs(t - state.t) > 1e-12:
             raise ConfigError("compare_runs: mismatched sample times")
         report = self.report
         report.times.append(t)
@@ -304,7 +320,7 @@ class Lockstep:
 
     def finish(self) -> CompareReport:
         """The report of an unbroken pair of runs, whose samples end together."""
-        if next(self._samples, None) is not None:
+        if next(self._states, None) is not None:
             raise ConfigError("compare_runs: mismatched sample times")
         report = self.report
         report.max_rel_l2, report.max_rel_linf = max(report.rel_l2), max(report.rel_linf)

@@ -19,7 +19,7 @@ from elflow.config import (
 )
 from elflow.errors import BlowUpError, ConfigError, NearSingularJacobianError
 from elflow.forcing import ForcingSpec
-from elflow.runner import Lockstep, _classical, execute, initial_velocity
+from elflow.runner import Lockstep, _classical, execute, initial_velocity, run_el
 from elflow.snapshots import read_snapshot
 
 
@@ -151,10 +151,34 @@ class TestCompareRuns:
         cfg = tiny_config(mode="classical")
         u0 = initial_velocity(cfg)
         beside = Lockstep(cfg, u0, "classical")
-        for t, sample in _classical(cfg, u0)[1]:
-            beside(t, sample)
+        for state, _ in _classical(cfg, u0)[1]:
+            beside(state.t, {"u": state.u})
         rep = beside.finish()
         assert rep.max_rel_l2 == 0.0 and rep.max_rel_linf == 0.0
+
+    @pytest.mark.parametrize("kind", ["classical", "cotangent", "gauge"])
+    def test_oracle_keeps_no_records_or_snapshots(self, kind):
+        cfg = tiny_config(compare_kind=kind)
+        u0 = initial_velocity(cfg)
+        beside = Lockstep(cfg, u0, kind)
+        run_el(cfg, u0, each_sample=beside)
+        beside.finish()
+        assert beside.result.records == [] and beside.result.snapshots == {}
+
+    @pytest.mark.parametrize("kind", ["classical", "cotangent", "gauge"])
+    def test_only_el_samples_are_recorded(self, kind, tmp_path, monkeypatch):
+        """An oracle is read for its u and w alone: a compare makes one
+        record per EL row and none for the oracle."""
+        calls = Counter()
+        for name in ("record_classical", "record_el"):
+            def counted(*args, _fn=getattr(runner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(runner, name, counted)
+        out = tmp_path / "o"
+        assert execute(tiny_config(compare_kind=kind), out, command="compare") == 0
+        rows = len((out / "timeseries.csv").read_text().splitlines()) - 1
+        assert (calls["record_classical"], calls["record_el"]) == (0, rows)
 
     def test_mismatched_grids_rejected(self):
         a, b = (tiny_config(mode="classical"),

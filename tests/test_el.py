@@ -23,6 +23,7 @@ from elflow.forcing import ForcingSpec
 from elflow.grid import Grid, tables
 from elflow.identities import random_displacement
 from elflow.initial import random_bandlimited, random_scalar, taylor_green
+from elflow.runner import el_sample
 from elflow.spectral import (
     divergence, gradient, laplacian, leray_project, to_physical,
     to_spectral,
@@ -417,6 +418,37 @@ class TestELStep:
         fine_back = dealias(resample(fine, g.n))
         alias = np.max(np.abs(coarse.data - fine_back.data))
         assert alias < 1e-7 * max(sup_norm(fine), 1e-12)
+
+
+class TestDeformationConditioning:
+    """(grad A) Q = I from ``derive``, and the range of det(grad A) that
+    every EL record carries."""
+
+    @staticmethod
+    def z_residual(state):
+        d = derive(state)
+        z = np.einsum("im...,mj...->ij...", d.grad_A.data, d.Q.data)
+        for i in range(state.ell.grid.dim):
+            z[i, i] -= 1.0
+        return float(np.max(np.abs(z)))
+
+    def test_fresh_state_exact(self, grid2d):
+        state = initial_state(taylor_green(grid2d))
+        record, _ = el_sample(state, 0.01)
+        assert self.z_residual(state) == 0.0
+        assert record.det_min == record.det_max == 1.0
+
+    def test_short_run(self, grid2d):
+        state = initial_state(taylor_green(grid2d))
+        states = [state]
+        for step in range(100):
+            state = el_step(state, ZERO, 1e-3, nu=0.01)
+            if len(states) < 5 and step % 25 == 0:
+                states.append(state)
+        states.append(state)
+        assert max(self.z_residual(s) for s in states) < 1e-11
+        records = [el_sample(s, 0.01)[0] for s in states]
+        assert 0.5 < min(r.det_min for r in records) <= max(r.det_max for r in records) < 2.0
 
 
 class TestResetLabels:

@@ -4,21 +4,19 @@ invariance and spectral convergence under grid refinement."""
 import numpy as np
 import pytest
 
-from elflow.el import compute_C, compute_Q, el_step, initial_state
+from elflow.el import compute_C, compute_Q, initial_state
 from elflow.fields import Field, zeros
-from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import (
     CORPUS_SPECTRAL_WIDTH, check_adjoint, check_braces, check_C_evolution,
     check_commutator, check_el_derivative_roundtrip, check_gamma_commutation,
-    check_product_rule, check_Z_stability, make_test_state,
+    check_product_rule, make_test_state,
     random_displacement, run_identity_suite,
 )
 from elflow.initial import random_bandlimited, random_scalar, taylor_green
 from elflow.spectral import gradient, resample
 
 TWO_PI = 2.0 * np.pi
-ZERO = ForcingSpec("zero")
 
 
 def corpus_scalar(grid, seed):
@@ -211,24 +209,6 @@ class TestCEvolution:
                for dt in (4e-3, 2e-3, 1e-3)]
         orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
         assert np.all(np.abs(orders - 1.0) < 0.3)
-
-
-class TestZStability:
-    def test_fresh_state_exact(self, grid2d):
-        rep = check_Z_stability([initial_state(taylor_green(grid2d))])
-        assert rep.residual == 0.0
-        assert rep.scales["det_min"] == 1.0
-
-    def test_short_run(self, grid2d):
-        state = initial_state(taylor_green(grid2d))
-        states = [state]
-        for _ in range(100):
-            state = el_step(state, ZERO, 1e-3, nu=0.01)
-            if len(states) < 5 and _ % 25 == 0:
-                states.append(state)
-        rep = check_Z_stability(states)
-        assert rep.passed and rep.residual < 1e-11
-        assert 0.5 < rep.scales["det_min"] <= rep.scales["det_max"] < 2.0
 
 
 class TestSuite:

@@ -54,6 +54,11 @@ def _calls(grid: Grid = GRID):
     state = make_test_state(grid, 1, 0.05)
     ell = random_displacement(grid, 1, 0.2)
     g = random_scalar(grid, 2, width=CORPUS_SPECTRAL_WIDTH)
+    # a gauge compare: EL beside its EL twin, which is read for u alone
+    gauge = RunConfig(grid=GridConfig(dim=grid.dim, n=grid.n), dt=2e-3, t_end=0.02,
+                      initial=InitialConfig(kind="random_bandlimited"), cadence=5,
+                      compare_kind="gauge").validate()
+    u0 = initial_velocity(gauge)
     return {
         "el_step": lambda: el_step(state, FORCE, 2e-3, nu=NU),
         "derive": lambda: derive(state),
@@ -61,12 +66,13 @@ def _calls(grid: Grid = GRID):
         "check_C_evolution": lambda: check_C_evolution(state, 2e-3, nu=NU),
         "check_gamma_commutation": lambda: check_gamma_commutation(state, g, 2e-3, nu=NU),
         "check_braces": lambda: check_braces(ell),
+        "compare_gauge": lambda: compare_runs(gauge, u0),
     }
 
 
 # Measured peaks plus about 5% (numpy 2.4): el_step 72.8, derive 62.3,
 # el_sample 62.3, check_C_evolution 97.6, check_gamma_commutation 82.4,
-# check_braces 59.3 fields.
+# check_braces 59.3, compare_gauge 108.2 fields.
 BUDGETS = {
     "el_step": 76,
     "derive": 66,
@@ -74,6 +80,7 @@ BUDGETS = {
     "check_C_evolution": 103,
     "check_gamma_commutation": 87,
     "check_braces": 62,
+    "compare_gauge": 114,
 }
 
 

@@ -82,6 +82,7 @@ CASES = {
     "resets": _case("run", _TINY, mode="el", nu=0.01, dt=5e-3, t_end=0.5, cadence=10),
     "forced-3d-el": _case("run", _TINY_3D, mode="el", forcing=_SINGLE_MODE),
     "compare-classical-3d": _case("compare", _TINY_3D, compare_kind="classical"),
+    "compare-gauge-3d": _case("compare", _TINY_3D, compare_kind="gauge"),
     "bounds-report-3d": _case("bounds-report", {**_TINY_3D, **_UNBROKEN},
                               forcing=_SINGLE_MODE),
     "bounds-report-2d": _case("bounds-report", {**_TINY, **_UNBROKEN}),
