@@ -31,7 +31,7 @@ class NSState:
 def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: Field | None):
     """P(dealias(-u.grad u) + f) in spectral space, and the velocity u."""
     u = to_physical(grid, uhat)
-    jac = to_physical(grid, grad_hat(grid, uhat))  # jac[i, m] = d_i u_m
+    jac = to_physical(grid, grad_hat(grid, uhat), overwrite=True)  # jac[i, m] = d_i u_m
     adv = np.einsum("i...,im...->m...", u, jac)
     out = dealias_hat(grid, to_spectral(grid, -adv))
     if force is not None:
@@ -53,6 +53,6 @@ def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NS
 
     uhat = to_spectral(grid, state.u.data)
     new_hat = if_rk4_step(grid, uhat, state.t, dt, nu, rhs)
-    u_new = to_physical(grid, new_hat)
+    u_new = to_physical(grid, new_hat, overwrite=True)
     ensure_finite(u_new, "velocity", state.t + dt)
     return NSState(state.t + dt, Field(grid, u_new))

@@ -90,7 +90,7 @@ def initial_state(u0: Field, potential_mode: str = "static") -> ELState:
 
 def _grad_ell(grid: Grid, lhat: np.ndarray) -> np.ndarray:
     """gl[i, m] = d_i ell_m from the spectrum of ell."""
-    return to_physical(grid, grad_hat(grid, lhat))
+    return to_physical(grid, grad_hat(grid, lhat), overwrite=True)
 
 
 def _deformation(gl: np.ndarray, det_floor: float):
@@ -283,7 +283,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
     g_ell -= uhat
     del gl, uhat   # only q and u are read below
 
-    gv = to_physical(grid, grad_hat(grid, vhat))  # gv[k, m] = d_k v_m
+    gv = to_physical(grid, grad_hat(grid, vhat), overwrite=True)  # gv[k, m] = d_k v_m
     g_v = _advection_hat(grid, u, gv)
     if nu > 0.0:
         source = to_spectral(grid, _commutator_source(grid, q, lhat, gv))
@@ -299,7 +299,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
 
 def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
     """Dynamic-potential source: -u.grad n + R_iR_j(u^i u^j) - |u|^2/2 + c."""
-    out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat)))
+    out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat), overwrite=True))
     out += quadratic_pressure_hat(grid, u)
     out -= dealias_hat(grid, to_spectral(grid, 0.5 * np.sum(u * u, axis=0)))
     out[_zero_mode(grid)] = 0.0  # the free constant fixes a zero spatial mean
@@ -330,10 +330,11 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
         if dynamic:
             out[2 * d] = _potential_rhs_hat(grid, y[2 * d], u)
         for row in passive_rows:
-            out[row] = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, y[row])))
+            grad = to_physical(grid, grad_hat(grid, y[row]), overwrite=True)
+            out[row] = _advection_hat(grid, u, grad)
         return out, u
 
-    ynew = to_physical(grid, if_rk4_step(grid, yhat, state.t, dt, nu, rhs))
+    ynew = to_physical(grid, if_rk4_step(grid, yhat, state.t, dt, nu, rhs), overwrite=True)
     ensure_finite(ynew[:d], "displacement", state.t + dt)
     ensure_finite(ynew[d:2 * d], "virtual velocity", state.t + dt)
     ell_field = Field(grid, ynew[:d])
@@ -390,8 +391,8 @@ def _cotangent_nonlinear_hat(grid: Grid, what, force: Field | None):
     uhat = leray_hat(grid, dealias_hat(grid, what))
     u = to_physical(grid, uhat)
     w = to_physical(grid, what)
-    gw = to_physical(grid, grad_hat(grid, what))   # gw[k, m] = d_k w_m
-    gu = to_physical(grid, grad_hat(grid, uhat))   # gu[i, j] = d_i u_j
+    gw = to_physical(grid, grad_hat(grid, what), overwrite=True)   # gw[k, m] = d_k w_m
+    gu = to_physical(grid, grad_hat(grid, uhat), overwrite=True)   # gu[i, j] = d_i u_j
     adv = np.einsum("k...,km...->m...", u, gw)
     stretch = np.einsum("ij...,j...->i...", gu, w)
     out = -dealias_hat(grid, to_spectral(grid, adv + stretch))
@@ -411,6 +412,6 @@ def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
 
     what = to_spectral(grid, state.w.data)
     new_hat = if_rk4_step(grid, what, state.t, dt, nu, rhs)
-    w_new = to_physical(grid, new_hat)
+    w_new = to_physical(grid, new_hat, overwrite=True)
     ensure_finite(w_new, "cotangent variable", state.t + dt)
     return WState(state.t + dt, Field(grid, w_new))

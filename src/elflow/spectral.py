@@ -5,6 +5,11 @@ Riesz-transform pressure and 2/3-rule dealiasing. All operations are pure
 functions of their inputs and exact for band-limited data; products of
 fields are the caller's responsibility to dealias.
 
+Every transform goes through ``to_spectral``/``to_physical``. 2D grids use
+numpy's FFT, so a 2D process never imports scipy; 3D grids use
+``scipy.fft``, imported on the first 3D transform. Both give the bits of
+``scipy.fft.rfftn``/``irfftn``.
+
 The array-level helpers (suffix ``_hat``) operate on spectral arrays whose
 last ``dim`` axes follow the rfftn layout; leading axes are treated as
 component axes. Field-level operations wrap them behind ``Field``.
@@ -12,7 +17,6 @@ component axes. Field-level operations wrap them behind ``Field``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .errors import FieldCompatibilityError
 from .fields import Field
@@ -25,24 +29,46 @@ __all__ = [
     "resample", "hessian", "second_derivs",
 ]
 
-# FFTs stay single threaded: a second worker gave no gain at desk scale.
-# irfftn per scalar, median of 81 alternating in-process rounds on a 2-core
-# Intel Xeon host (Python 3.11, numpy 2.4.6, scipy 1.17.1):
-#   32^3, one call per scalar:      0.41 ms (1 worker)  0.46 ms (2 workers)
-#   32^3, one call per 3-stack:     0.67 ms             0.66 ms
-#   48^3, one call per scalar:      1.44 ms             1.51 ms
-#   48^3, one call per 3-stack:     2.38 ms             2.39 ms
+# Worker count of the 3D (scipy) transforms. Time per scalar of numpy's
+# transforms over scipy's, 2-core Intel Xeon host (Python 3.11, numpy
+# 2.4.6, scipy 1.17.1), 1 to 9 stacked components:
+#   2D n=64-256:  0.86-1.14, forward at n=128 with 4+ components 1.29-1.38;
+#                 EL step on euler-cotangent-2d 0.98
+#   3D n=32:      1.12-1.14 forward, 1.16-1.19 inverse; n=16: 1.31-1.45;
+#                 EL step 1.13 (compare-3d), 1.12 (bounds-3d)
+# so 2D takes numpy's and spares a 2D process the import of scipy.fft
+# (`import elflow.cli` 56 -> 33 MiB, about 0.3 s), and 3D keeps scipy's.
+# A second worker gave no gain at desk scale: scipy irfftn per scalar,
+# 1 worker against 2, 0.41 against 0.46 ms at 32^3 and 1.44 against
+# 1.51 ms at 48^3.
 _WORKERS = 1
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     """rfftn over the trailing ``dim`` axes; leading axes are components."""
-    axes = tuple(range(-grid.dim, 0))
-    return scipy.fft.rfftn(values, axes=axes, workers=_WORKERS)
+    if grid.dim == 2:
+        # scipy's pass order: r2c on the last axis, then c2c on axis -2
+        hat = np.fft.rfft(values)
+        return np.fft.fft(hat, axis=-2, out=hat)
+    import scipy.fft
+    return scipy.fft.rfftn(values, axes=(-3, -2, -1), workers=_WORKERS)
 
-def to_physical(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-grid.dim, 0))
-    return scipy.fft.irfftn(hat, s=grid.shape, axes=axes, workers=_WORKERS)
+
+def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
+    transform may use ``hat`` as work space; pass it only for a temporary
+    that is not read again."""
+    if grid.dim == 2:
+        # scipy's order: unscaled c2c on axis -2, unscaled c2r on the last
+        # axis, then one scaling by 1/n^2 (two scalings by 1/n round
+        # differently unless n is a power of two)
+        work = np.fft.ifft(hat, axis=-2, norm="forward", out=hat if overwrite else None)
+        out = np.fft.irfft(work, n=grid.n, norm="forward")
+        out *= 1.0 / (grid.n * grid.n)
+        return out
+    import scipy.fft
+    return scipy.fft.irfftn(hat, s=grid.shape, axes=(-3, -2, -1), workers=_WORKERS,
+                            overwrite_x=overwrite)
 
 
 # -- array-level operators ---------------------------------------------------
@@ -71,7 +97,7 @@ def second_derivs(grid: Grid, hat: np.ndarray):
     wn = tables(grid).k
     for k in range(grid.dim):
         for j in range(k, grid.dim):
-            yield k, j, to_physical(grid, -(wn[j] * wn[k]) * hat)
+            yield k, j, to_physical(grid, -(wn[j] * wn[k]) * hat, overwrite=True)
 
 
 def div_hat(grid: Grid, vhat: np.ndarray) -> np.ndarray:
@@ -117,17 +143,22 @@ def dealias_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
 
 # -- field-level operations ---------------------------------------------------
 
+def _spectral_op(f: Field, op_hat) -> Field:
+    """The field whose spectrum is ``op_hat(grid, spectrum of f)``."""
+    grid = f.grid
+    return Field(grid, to_physical(grid, op_hat(grid, to_spectral(grid, f.data)),
+                                   overwrite=True))
+
+
 def gradient(f: Field) -> Field:
     """Spectral gradient of a field of any rank; prepends the derivative
     axis, so the entry (i, m) of a vector's gradient is d_i v_m. Exact for
     band-limited input, each component zero-mean."""
-    grid = f.grid
-    return Field(grid, to_physical(grid, grad_hat(grid, to_spectral(grid, f.data))))
+    return _spectral_op(f, grad_hat)
 
 
 def divergence(v: Field) -> Field:
-    grid = v.grid
-    return Field(grid, to_physical(grid, div_hat(grid, to_spectral(grid, v.data))))
+    return _spectral_op(v, div_hat)
 
 
 def curl(v: Field):
@@ -137,18 +168,17 @@ def curl(v: Field):
     k = tables(grid).k
     if grid.dim == 2:
         what = 1j * (k[0] * vhat[1] - k[1] * vhat[0])
-        return Field(grid, to_physical(grid, what))
+        return Field(grid, to_physical(grid, what, overwrite=True))
     out = np.stack([
         1j * (k[1] * vhat[2] - k[2] * vhat[1]),
         1j * (k[2] * vhat[0] - k[0] * vhat[2]),
         1j * (k[0] * vhat[1] - k[1] * vhat[0]),
     ])
-    return Field(grid, to_physical(grid, out))
+    return Field(grid, to_physical(grid, out, overwrite=True))
 
 
 def laplacian(f: Field) -> Field:
-    grid = f.grid
-    return Field(grid, to_physical(grid, lap_hat(grid, to_spectral(grid, f.data))))
+    return _spectral_op(f, lap_hat)
 
 
 def inverse_laplacian(s: Field) -> Field:
@@ -159,14 +189,12 @@ def inverse_laplacian(s: Field) -> Field:
         raise FieldCompatibilityError(
             f"inverse_laplacian needs zero-mean input: mean={m:.3e}, rms={rms:.3e}"
         )
-    grid = s.grid
-    return Field(grid, to_physical(grid, poisson_hat(grid, to_spectral(grid, s.data))))
+    return _spectral_op(s, poisson_hat)
 
 
 def leray_project(v: Field) -> Field:
     """Orthogonal projection onto divergence-free fields (means preserved)."""
-    grid = v.grid
-    return Field(grid, to_physical(grid, leray_hat(grid, to_spectral(grid, v.data))))
+    return _spectral_op(v, leray_hat)
 
 
 def quadratic_pressure_hat(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -189,14 +217,13 @@ def quadratic_pressure_hat(grid: Grid, u: np.ndarray) -> np.ndarray:
 def riesz_pressure(u: Field, c: float = 0.0) -> Field:
     """Pressure R_i R_j(u^i u^j) + c of a divergence-free velocity."""
     grid = u.grid
-    values = to_physical(grid, quadratic_pressure_hat(grid, u.data)) + c
+    values = to_physical(grid, quadratic_pressure_hat(grid, u.data), overwrite=True) + c
     return Field(grid, values)
 
 
 def dealias(field: Field) -> Field:
     """2/3-rule truncation: modes with any |index| above n//3 are zeroed."""
-    grid = field.grid
-    return Field(grid, to_physical(grid, dealias_hat(grid, to_spectral(grid, field.data))))
+    return _spectral_op(field, dealias_hat)
 
 
 def hessian(s: Field) -> Field:
@@ -216,7 +243,8 @@ def resample(field: Field, n_new: int) -> Field:
     grid = field.grid
     fine = Grid(grid.dim, n_new, grid.length)
     data = field.data
-    hat = scipy.fft.fftn(data, axes=tuple(range(-grid.dim, 0)), workers=_WORKERS)
+    axes = tuple(range(-grid.dim, 0))
+    hat = np.fft.fftn(data, axes=axes)
     half = min(grid.n, n_new) // 2
     src = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(int)
     dst = np.fft.fftfreq(n_new, 1.0 / n_new).astype(int)
@@ -227,5 +255,4 @@ def resample(field: Field, n_new: int) -> Field:
     idx_put = np.ix_(*([put] * grid.dim))
     new_hat[(Ellipsis, *idx_put)] = hat[(Ellipsis, *idx_take)]
     new_hat *= (n_new / grid.n) ** grid.dim
-    return Field(fine, scipy.fft.ifftn(new_hat, axes=tuple(range(-grid.dim, 0)),
-                                       workers=_WORKERS).real)
+    return Field(fine, np.fft.ifftn(new_hat, axes=axes).real)

@@ -3,7 +3,10 @@ and byte-level determinism."""
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -312,6 +315,23 @@ class TestCLI:
         assert "Traceback" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("dim,loads_scipy", [(2, False), (3, True)])
+    def test_only_3d_runs_import_scipy(self, dim, loads_scipy, tmp_path):
+        """2D transforms run on numpy.fft, so a fresh 2D process never
+        imports scipy; a 3D one imports it for its transforms."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg = tiny_config(mode="el", grid=GridConfig(dim=dim, n=16))
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        script = ("import sys\n"
+                  "from elflow.cli import main\n"
+                  f"rc = main({argv!r})\n"
+                  "print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+        src = str(Path(el.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
 
     def test_bounds_report_passes_on_tiny_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -6,9 +6,12 @@ stated in real scalar fields (``n**dim`` float64 values) at 3D n=16 and
 bound the arrays the code holds at once: the second-derivative and
 commutator algebra is consumed block by block, never as whole rank-3 or
 rank-4 tensors, and no identity check holds more than one EL step's
-working set plus the fields it names. scipy's FFT backend allocates its
-internal work buffers outside Python's allocator; those are not traced and
-not counted here.
+working set plus the fields it names. The 3D transforms run on scipy's
+FFT backend, which allocates its internal work buffers outside Python's
+allocator; those are not traced and not counted here. The 2D transforms
+run on numpy's, whose work arrays are traced; ``to_physical(...,
+overwrite=True)`` keeps them off the peak by working in place in a
+temporary spectrum.
 
 Run as a script to print the peak of every budgeted call on a 3D grid of
 n points per axis (default 16):
@@ -93,7 +96,12 @@ def test_peak_within_budget(name):
 def test_compare_holds_no_series():
     """A compare folds each sample into its report as it is made, so its
     peak does not grow with the sample count: at cadence 1 it stays within
-    2 fields of the same compare sampled at t = 0 and t_end only."""
+    2 fields of the same compare sampled at t = 0 and t_end only.
+
+    The 2 fields are the cotangent oracle's own ``w`` (2.00 fields in 2D),
+    held in lockstep: it is allocated at ``cotangent_step``'s
+    ``to_physical``. At cadence 1 it is held at every EL step entry; in
+    this 10-step run at cadence 10 it never is."""
     def compare(cadence):
         cfg = RunConfig(grid=GridConfig(dim=2, n=64), nu=0.01, dt=2e-3, t_end=0.02,
                         initial=InitialConfig(kind="random_bandlimited"),

@@ -278,6 +278,33 @@ class TestParseval:
         assert np.max(np.abs(back - s)) < 1e-12
 
 
+class TestTransformBackends:
+    """2D transforms run on numpy.fft, 3D on scipy.fft; scipy's rfftn and
+    irfftn are the reference bits for both."""
+
+    # n = 48 is not a power of two: two scalings by 1/n would round there
+    @pytest.mark.parametrize("n", [8, 48, 64, 128])
+    @pytest.mark.parametrize("comps", [1, 2, 4, 9])
+    def test_2d_matches_scipy_bit_for_bit(self, n, comps):
+        import scipy.fft
+        g = Grid(2, n, TWO_PI)
+        rng = np.random.default_rng(n + comps)
+        values = rng.standard_normal(g.shape if comps == 1 else (comps, *g.shape))
+        hat = scipy.fft.rfftn(values, axes=(-2, -1))
+        assert np.array_equal(to_spectral(g, values), hat)
+        assert np.array_equal(to_physical(g, hat),
+                              scipy.fft.irfftn(hat, s=g.shape, axes=(-2, -1)))
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_overwrite_gives_the_same_bits(self, dim, n):
+        g = Grid(dim, n, TWO_PI)
+        hat = to_spectral(g, np.random.default_rng(dim).standard_normal((3, *g.shape)))
+        kept = hat.copy()
+        out = to_physical(g, hat)
+        assert np.array_equal(hat, kept)            # overwrite=False leaves hat as it was
+        assert np.array_equal(to_physical(g, hat.copy(), overwrite=True), out)
+
+
 class TestFieldInvariants:
     def test_shape_validation(self, grid2d):
         with pytest.raises(FieldCompatibilityError):
