@@ -55,9 +55,10 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
-    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
-    transform may use ``hat`` as work space; pass it only for a temporary
-    that is not read again."""
+    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` a 2D
+    transform uses ``hat`` as work space; pass it only for a temporary that
+    is not read again. 3D transforms ignore it, as scipy's c2r does not use
+    ``overwrite_x``."""
     if grid.dim == 2:
         # scipy's order: unscaled c2c on axis -2, unscaled c2r on the last
         # axis, then one scaling by 1/n^2 (two scalings by 1/n round
@@ -67,8 +68,7 @@ def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False) -> np.n
         out *= 1.0 / (grid.n * grid.n)
         return out
     import scipy.fft
-    return scipy.fft.irfftn(hat, s=grid.shape, axes=(-3, -2, -1), workers=_WORKERS,
-                            overwrite_x=overwrite)
+    return scipy.fft.irfftn(hat, s=grid.shape, axes=(-3, -2, -1), workers=_WORKERS)
 
 
 # -- array-level operators ---------------------------------------------------
