@@ -6,8 +6,9 @@ functions of their inputs and exact for band-limited data; products of
 fields are the caller's responsibility to dealias.
 
 Every transform goes through ``to_spectral``/``to_physical``. 2D grids use
-numpy's FFT, so a 2D process never imports scipy; 3D grids use
-``scipy.fft``, imported on the first 3D transform. Both give the bits of
+numpy's FFT; 3D grids call scipy's compiled pocketfft kernel, loaded from
+its file on the first 3D transform. elflow never imports ``scipy.fft``,
+whose import also pulls in ``scipy.special``. Both give the bits of
 ``scipy.fft.rfftn``/``irfftn``.
 
 The array-level helpers (suffix ``_hat``) operate on spectral arrays whose
@@ -15,6 +16,11 @@ last ``dim`` axes follow the rfftn layout; leading axes are treated as
 component axes. Field-level operations wrap them behind ``Field``.
 """
 from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -29,19 +35,45 @@ __all__ = [
     "resample", "hessian", "second_derivs",
 ]
 
-# Worker count of the 3D (scipy) transforms. Time per scalar of numpy's
-# transforms over scipy's, 2-core Intel Xeon host (Python 3.11, numpy
-# 2.4.6, scipy 1.17.1), 1 to 9 stacked components:
+# Worker count of the 3D transforms (scipy's pocketfft kernel). Time per
+# scalar of numpy's transforms over scipy's, 2-core Intel Xeon host
+# (Python 3.11, numpy 2.4.6, scipy 1.17.1), 1 to 9 stacked components:
 #   2D n=64-256:  0.86-1.14, forward at n=128 with 4+ components 1.29-1.38;
 #                 EL step on euler-cotangent-2d 0.98
 #   3D n=32:      1.12-1.14 forward, 1.16-1.19 inverse; n=16: 1.31-1.45;
 #                 EL step 1.13 (compare-3d), 1.12 (bounds-3d)
-# so 2D takes numpy's and spares a 2D process the import of scipy.fft
-# (`import elflow.cli` 56 -> 33 MiB, about 0.3 s), and 3D keeps scipy's.
-# A second worker gave no gain at desk scale: scipy irfftn per scalar,
-# 1 worker against 2, 0.41 against 0.46 ms at 32^3 and 1.44 against
-# 1.51 ms at 48^3.
+# so 2D takes numpy's and 3D keeps scipy's kernel. A second worker gave no
+# gain at desk scale: scipy irfftn per scalar, 1 worker against 2, 0.41
+# against 0.46 ms at 32^3 and 1.44 against 1.51 ms at 48^3.
 _WORKERS = 1
+
+
+@functools.cache
+def _pocketfft():
+    """scipy's compiled ``pypocketfft``, loaded from its file without
+    importing ``scipy.fft``. That import also loads ``scipy.special`` and
+    costs about 26 MiB of RSS and 0.35 s on the host above; the kernel is
+    all a 3D transform uses, and it gives ``scipy.fft``'s bits."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("3D transforms need scipy, which is not installed")
+    folder = Path(scipy.origin).parent / "fft" / "_pocketfft"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"pypocketfft{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(
+                "scipy.fft._pocketfft.pypocketfft", path)
+            kernel = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(kernel)
+            return kernel
+    from importlib.metadata import version
+    raise ImportError(f"3D transforms need scipy's compiled pocketfft: scipy "
+                      f"{version('scipy')} has no pypocketfft extension in {folder}")
+
+
+def _axes(values: np.ndarray) -> list:
+    nd = values.ndim
+    return [nd - 3, nd - 2, nd - 1]
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -50,15 +82,16 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
         # scipy's pass order: r2c on the last axis, then c2c on axis -2
         hat = np.fft.rfft(values)
         return np.fft.fft(hat, axis=-2, out=hat)
-    import scipy.fft
-    return scipy.fft.rfftn(values, axes=(-3, -2, -1), workers=_WORKERS)
+    # the call scipy.fft.rfftn makes
+    return _pocketfft().r2c(values, axes=_axes(values), forward=True, inorm=0,
+                            nthreads=_WORKERS)
 
 
 def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` a 2D
     transform uses ``hat`` as work space; pass it only for a temporary that
-    is not read again. 3D transforms ignore it, as scipy's c2r does not use
-    ``overwrite_x``."""
+    is not read again. 3D transforms leave ``hat`` as it is either way: the
+    kernel's c2r works in a buffer of its own."""
     if grid.dim == 2:
         # scipy's order: unscaled c2c on axis -2, unscaled c2r on the last
         # axis, then one scaling by 1/n^2 (two scalings by 1/n round
@@ -67,8 +100,9 @@ def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False) -> np.n
         out = np.fft.irfft(work, n=grid.n, norm="forward")
         out *= 1.0 / (grid.n * grid.n)
         return out
-    import scipy.fft
-    return scipy.fft.irfftn(hat, s=grid.shape, axes=(-3, -2, -1), workers=_WORKERS)
+    # the call scipy.fft.irfftn makes
+    return _pocketfft().c2r(hat, axes=_axes(hat), lastsize=grid.n, forward=False,
+                            inorm=2, nthreads=_WORKERS)
 
 
 # -- array-level operators ---------------------------------------------------

@@ -316,22 +316,26 @@ class TestCLI:
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("dim,loads_scipy", [(2, False), (3, True)])
-    def test_only_3d_runs_import_scipy(self, dim, loads_scipy, tmp_path):
-        """2D transforms run on numpy.fft, so a fresh 2D process never
-        imports scipy; a 3D one imports it for its transforms."""
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_run_imports_scipy_fft_and_3d_loads_the_kernel(self, dim, tmp_path):
+        """2D transforms run on numpy.fft and 3D ones on scipy's compiled
+        pocketfft kernel, loaded from its file, so a fresh process of either
+        dim ends with no scipy module (scipy.fft, scipy.special) in
+        sys.modules; only a 3D one loads the kernel."""
         cfg_path = tmp_path / "cfg.json"
         cfg = tiny_config(mode="el", grid=GridConfig(dim=dim, n=16))
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         script = ("import sys\n"
+                  "from elflow import spectral\n"
                   "from elflow.cli import main\n"
                   f"rc = main({argv!r})\n"
-                  "print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+                  "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+                  "      spectral._pocketfft.cache_info().currsize == 1)\n")
         src = str(Path(el.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+        assert proc.stdout.splitlines()[-1] == f"0 [] {dim == 3}"
 
     def test_bounds_report_passes_on_tiny_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

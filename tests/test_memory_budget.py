@@ -7,8 +7,8 @@ bound the arrays the code holds at once: the second-derivative and
 commutator algebra is consumed block by block, never as whole rank-3 or
 rank-4 tensors, and no identity check holds more than one EL step's
 working set plus the fields it names. The 3D transforms run on scipy's
-FFT backend, which allocates its internal work buffers outside Python's
-allocator; those are not traced and not counted here. The 2D transforms
+compiled pocketfft kernel, whose ``c2r`` work array is allocated outside
+Python's allocator; it is not traced and not counted here. The 2D transforms
 run on numpy's, whose work arrays are traced; ``to_physical(...,
 overwrite=True)`` keeps them off the peak by working in place in a
 temporary spectrum.

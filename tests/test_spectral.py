@@ -1,9 +1,16 @@
 """Spectral-core contracts: transforms, derivatives, Poisson inversion,
 divergence-free projection, Riesz pressure and dealiasing."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import elflow
 from elflow.errors import FieldCompatibilityError
 from elflow.fields import Field, inner, integral, l2_norm, magnitude, sup_norm
 from elflow.grid import Grid
@@ -278,9 +285,38 @@ class TestParseval:
         assert np.max(np.abs(back - s)) < 1e-12
 
 
+# Run in a fresh process, so that the kernel and scipy.fft load in the order
+# named by SCIPY_FFT_FIRST. Prints the (n, comps) cases whose bits differ.
+_3D_BITS_SCRIPT = """
+import json, sys
+import numpy as np
+SCIPY_FFT_FIRST = {scipy_fft_first}
+if SCIPY_FFT_FIRST:
+    import scipy.fft
+from elflow.grid import Grid
+from elflow.spectral import to_physical, to_spectral
+cases = []
+for n in (8, 16, 32):
+    g = Grid(3, n, 2.0 * np.pi)
+    for comps in (1, 3, 9):
+        rng = np.random.default_rng(n + comps)
+        values = rng.standard_normal(g.shape if comps == 1 else (comps, *g.shape))
+        hat = to_spectral(g, values)
+        cases.append((n, comps, values, hat, to_physical(g, hat)))
+assert ("scipy.fft" in sys.modules) == SCIPY_FFT_FIRST
+assert "scipy.special" not in sys.modules or SCIPY_FFT_FIRST
+import scipy.fft
+differ = [[n, comps] for n, comps, values, hat, back in cases
+          if not (np.array_equal(hat, scipy.fft.rfftn(values, axes=(-3, -2, -1)))
+                  and np.array_equal(back, scipy.fft.irfftn(hat, s=(n,) * 3,
+                                                            axes=(-3, -2, -1))))]
+print(json.dumps(differ))
+"""
+
+
 class TestTransformBackends:
-    """2D transforms run on numpy.fft, 3D on scipy.fft; scipy's rfftn and
-    irfftn are the reference bits for both."""
+    """2D transforms run on numpy.fft, 3D on scipy's compiled pocketfft
+    kernel; scipy.fft's rfftn and irfftn are the reference bits for both."""
 
     # n = 48 is not a power of two: two scalings by 1/n would round there
     @pytest.mark.parametrize("n", [8, 48, 64, 128])
@@ -295,6 +331,31 @@ class TestTransformBackends:
         assert np.array_equal(to_physical(g, hat),
                               scipy.fft.irfftn(hat, s=g.shape, axes=(-2, -1)))
 
+    @pytest.mark.parametrize("scipy_fft_first", [False, True],
+                             ids=["kernel-first", "scipy-fft-first"])
+    def test_3d_matches_scipy_bit_for_bit(self, scipy_fft_first):
+        """1, 3 and 9 components at n = 8, 16 and 32, with the kernel loaded
+        before scipy.fft is imported and after."""
+        src = str(Path(elflow.__file__).resolve().parents[1])
+        script = _3D_BITS_SCRIPT.format(scipy_fft_first=scipy_fft_first)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_missing_kernel_names_scipy_version_and_folder(self, tmp_path, monkeypatch):
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
+        from elflow import spectral
+        fake = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+        with pytest.raises(ImportError, match="pypocketfft") as err:
+            spectral._pocketfft.__wrapped__()
+        assert scipy.__version__ in str(err.value)
+        assert str(tmp_path / "fft" / "_pocketfft") in str(err.value)
+
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_overwrite_gives_the_same_bits(self, dim, n):
         g = Grid(dim, n, TWO_PI)
@@ -302,7 +363,9 @@ class TestTransformBackends:
         kept = hat.copy()
         out = to_physical(g, hat)
         assert np.array_equal(hat, kept)            # overwrite=False leaves hat as it was
-        assert np.array_equal(to_physical(g, hat.copy(), overwrite=True), out)
+        assert np.array_equal(to_physical(g, hat, overwrite=True), out)
+        if dim == 3:                                # the kernel's c2r has its own work buffer
+            assert np.array_equal(hat, kept)
 
 
 class TestFieldInvariants:
