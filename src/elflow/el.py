@@ -101,7 +101,13 @@ def _deformation(gl: np.ndarray, det_floor: float):
     g = gl.copy()
     for i in range(len(g)):
         g[i, i] += 1.0
-    # Q is the adjugate over the determinant, pointwise
+    return (g, *_inverse(g, det_floor))
+
+
+def _inverse(g: np.ndarray, det_floor: float):
+    """The pointwise inverse of the matrix field g and its determinant: the
+    adjugate over the determinant. Raises ``NearSingularJacobianError``
+    where |det| <= det_floor."""
     if len(g) == 2:
         a, b = g[0, 0], g[0, 1]
         c, d = g[1, 0], g[1, 1]
@@ -113,7 +119,7 @@ def _deformation(gl: np.ndarray, det_floor: float):
         q[0, 1] = -b * inv
         q[1, 0] = -c * inv
         q[1, 1] = a * inv
-        return g, q, det
+        return q, det
     c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
     c01 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
     c02 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
@@ -130,7 +136,7 @@ def _deformation(gl: np.ndarray, det_floor: float):
     q[0, 2] = (g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]) * inv
     q[1, 2] = (g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]) * inv
     q[2, 2] = (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) * inv
-    return g, q, det
+    return q, det
 
 
 def _check_det(det: np.ndarray, floor: float) -> None:
@@ -179,6 +185,7 @@ def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
             c[m, k] += q[:, j] * block[m]
             if j != k:
                 c[m, j] += q[:, k] * block[m]
+        del block   # not held while the next block is made
     return c
 
 
@@ -191,6 +198,7 @@ def _commutator_source(grid: Grid, q: np.ndarray, lhat: np.ndarray,
         s[j] += _advection(block, gv[k])
         if j != k:
             s[k] += _advection(block, gv[j])
+        del block   # not held while the next block is made
     return _label(q, s)
 
 
@@ -246,6 +254,7 @@ def derive(state: ELState) -> ELDerived:
     w = Field(grid, _cotangent(gl, state.v.data))
     del gl  # not held beside C
     c = _commutator(grid, q, lhat)
+    del lhat
     u, n = _project(w)
     return ELDerived(
         grad_A=Field(grid, gA),
@@ -273,7 +282,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
     cotangent product.
     """
     gl = _grad_ell(grid, lhat)
-    _, q, _ = _deformation(gl, DEFAULT_DET_FLOOR)
+    q = _deformation(gl, DEFAULT_DET_FLOOR)[1]   # det is not held
     what = dealias_hat(grid, to_spectral(grid, _cotangent(gl, to_physical(grid, vhat))))
     uhat = leray_hat(grid, what)
     del what

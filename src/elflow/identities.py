@@ -20,7 +20,8 @@ import numpy as np
 
 from .el import (
     ELState, compute_C, compute_Q, derive, el_step_with_passive, grad_ell_sup,
-    initial_state, reconstruct_u, _advection, _commutator, _deformation, _label,
+    DEFAULT_DET_FLOOR, initial_state, reconstruct_u, _advection, _commutator,
+    _deformation, _inverse, _label,
 )
 from .fields import Field, l2_norm, sup_norm, integral
 from .forcing import ForcingSpec
@@ -179,6 +180,7 @@ def check_braces(ell: Field) -> IdentityReport:
             lhs = np.einsum("m...,rm...->r...", gA[i], C[:, q])
             worst = max(worst, float(np.max(np.abs(lhs - d2))))
         scale = max(scale, float(np.max(np.abs(d2))))
+        del d2   # not held while the next block is made
     residual = worst / max(scale, _TINY)
     return _report("braces", residual, TOLERANCES["braces"], {"d2A_inf": scale})
 
@@ -254,7 +256,9 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     The residual is accumulated in the stepped C's array. Of the three
     rank-3 tensors C(t + dt), C(t) and label_i(d_k u_l) at most two are alive
     at once: the terms in C(t) come first, one (m, k) block of ``dim`` fields
-    at a time, and label_i(d_k u_l) is built after C(t) is released.
+    at a time, and label_i(d_k u_l) is built after C(t) is released. Q is
+    not held beside C(t) either: it is inverted again from grad A, with the
+    same bits, for label_i(d_k u_l) alone.
     """
     grid = state.ell.grid
     d = grid.dim
@@ -262,8 +266,8 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     # the derived fields of the start state are never held together
     res = derive(el_step_with_passive(state, _NO_FORCING, dt, nu=nu, passive=())[0]).C.data
     d0 = derive(state)
-    c0, u, gA, q = d0.C.data, d0.u.data, d0.grad_A.data, d0.Q.data
-    del d0  # C, u, grad A and Q are all that is read below
+    c0, u, gA = d0.C.data, d0.u.data, d0.grad_A.data
+    del d0  # C, u and grad A are all that is read below
 
     uhat = to_spectral(grid, u)
     worst = scale = 0.0
@@ -282,13 +286,15 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
                 r += u[l] * dl_c
                 for j in range(d):
                     term3 += c0[j, l] * dl_c[j]             # C[j, l; i] d_l C[m, k; j]
-            del c_hat, dl_c
+                del dl_c   # not held while the next one is made
+            del c_hat
             scale = max(scale, float(np.max(np.abs(r))))
             r += _advection(gu_k, c0[m])                    # (d_k u_l) C[m, l; i]
             term3 *= 2.0 * nu
             r -= term3
     del c0, u, gu_k
 
+    q = _inverse(gA, DEFAULT_DET_FLOOR)[0]    # derive's Q, bit for bit
     lag_gu = _commutator(grid, q, uhat)       # [l, k, i] = label_i(d_k u_l)
     del q, uhat
     for m in range(d):

@@ -11,8 +11,8 @@ stable serialization. Artifacts per output directory:
 * ``manifest.json``    config hash plus a content hash of every file above.
 
 Every solver runs the one step loop ``_drive``; only a run whose artifacts
-are written is sampled (``_run``). A compare reads its oracle's states for
-``u`` and ``w`` alone.
+are written is sampled (``_run``), and its snapshots are written as they
+are taken. A compare reads its oracle's states for ``u`` and ``w`` alone.
 """
 from __future__ import annotations
 
@@ -67,9 +67,6 @@ class RunResult:
     # one diagnostics record per sample; none for a compare's oracle
     records: list = field(default_factory=list)
     resets: list = field(default_factory=list)
-    # "initial"/"final" -> (t, the named fields that solver's snapshots write);
-    # none for a compare's oracle
-    snapshots: dict = field(default_factory=dict)
     final_state: object = None
     failure: dict | None = None
 
@@ -134,28 +131,37 @@ def _drive(result: RunResult, state, u0: Field, step) -> Iterator[tuple[object, 
     result.final_state = state
 
 
-def _run(result: RunResult, states, sample, each_sample=None) -> RunResult:
+def _write_snapshots(snapdir: Path | None, tag: str, t: float, fields: dict) -> None:
+    if snapdir is not None:
+        for name, f in fields.items():
+            write_snapshot(snapdir / f"{tag}_{name}.bin", f, time=t, name=name)
+
+
+def _run(result: RunResult, states, sample, snapdir: Path | None = None,
+         each_sample=None) -> RunResult:
     """Sample each of a run's ``states``: the one place records and
     snapshots are made. ``sample(state)`` returns a diagnostics record, kept
-    in ``result.records``, and the named fields of the state's snapshots,
-    kept for the first and the last state. Each sample is passed to
-    ``each_sample(t, fields)`` (if any) and dropped, with its state, before
-    the next state is made. After a failure the last state reached is
-    sampled again for its final snapshots, without a record.
+    in ``result.records``, and the named fields of the state's snapshots.
+    Those of the first and the last state are written to ``snapdir`` (if
+    any) as ``initial_<name>.bin`` and ``final_<name>.bin`` when they are
+    taken. Each sample is passed to ``each_sample(t, fields)`` (if any) and
+    dropped, with its state, before the next state is made. After a failure
+    the last state reached is sampled again, without a record, for the
+    final snapshots in ``snapdir``.
     """
     for state, last in states:
         record, fields = sample(state)
         result.records.append(record)
         if len(result.records) == 1:
-            result.snapshots["initial"] = state.t, fields
+            _write_snapshots(snapdir, "initial", state.t, fields)
         if last:
-            result.snapshots["final"] = state.t, fields
+            _write_snapshots(snapdir, "final", state.t, fields)
         if each_sample is not None:
             each_sample(state.t, fields)
         del fields, state
-    if result.failure is not None:
+    if result.failure is not None and snapdir is not None:
         state = result.final_state
-        result.snapshots["final"] = state.t, sample(state)[1]
+        _write_snapshots(snapdir, "final", state.t, sample(state)[1])
     return result
 
 
@@ -210,21 +216,25 @@ def _velocity_sample(state, nu: float):
     return record_classical(NSState(state.t, fields["u"]), nu), fields
 
 
-def run_classical(cfg: RunConfig, u0: Field) -> RunResult:
-    return _run(*_classical(cfg, u0), lambda state: _velocity_sample(state, cfg.nu))
+def run_classical(cfg: RunConfig, u0: Field, snapdir: Path | None = None) -> RunResult:
+    return _run(*_classical(cfg, u0), lambda state: _velocity_sample(state, cfg.nu),
+                snapdir)
 
 
-def run_cotangent(cfg: RunConfig, u0: Field) -> RunResult:
-    return _run(*_cotangent(cfg, u0), lambda state: _velocity_sample(state, cfg.nu))
+def run_cotangent(cfg: RunConfig, u0: Field, snapdir: Path | None = None) -> RunResult:
+    return _run(*_cotangent(cfg, u0), lambda state: _velocity_sample(state, cfg.nu),
+                snapdir)
 
 
-def run_el(cfg: RunConfig, u0: Field, each_sample=None) -> RunResult:
+def run_el(cfg: RunConfig, u0: Field, each_sample=None,
+           snapdir: Path | None = None) -> RunResult:
     """EL run from u0; ``each_sample(t, fields)`` sees every sample as it
-    is made."""
+    is made, and the snapshots go to ``snapdir`` (if any) as they are
+    taken."""
     def sample(state):
         return el_sample(state, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing)
 
-    return _run(*_el(cfg, u0), sample, each_sample)
+    return _run(*_el(cfg, u0), sample, snapdir, each_sample)
 
 
 def el_sample(state: ELState, nu: float, *, m_list=(2, 3), forcing=None):
@@ -329,8 +339,8 @@ class Lockstep:
         return report
 
 
-def compare_runs(cfg: RunConfig, u0: Field,
-                 kinds: tuple[str, ...] | None = None) -> tuple[RunResult, dict]:
+def compare_runs(cfg: RunConfig, u0: Field, kinds: tuple[str, ...] | None = None,
+                 snapdir: Path | None = None) -> tuple[RunResult, dict]:
     """EL beside one oracle run per comparison kind (default
     ``cfg.compare_kind``), in lockstep.
 
@@ -339,7 +349,8 @@ def compare_runs(cfg: RunConfig, u0: Field,
     keeps a series of fields. A failing oracle stops while EL runs on to
     ``t_end``; a failing EL run stops the oracles. Returns the EL run, whose
     ``failure`` is its own or else the first oracle's, and the reports by
-    kind, none if a run failed.
+    kind, none if a run failed. The EL run's snapshots go to ``snapdir``
+    (if any) as they are taken.
     """
     oracles = {kind: Lockstep(cfg, u0, kind) for kind in kinds or (cfg.compare_kind,)}
 
@@ -347,7 +358,7 @@ def compare_runs(cfg: RunConfig, u0: Field,
         for oracle in oracles.values():
             oracle(t, fields)
 
-    result = run_el(cfg, u0, each_sample=each_sample)
+    result = run_el(cfg, u0, each_sample=each_sample, snapdir=snapdir)
     for oracle in oracles.values():
         result.failure = result.failure or oracle.result.failure
     if result.failure is not None:
@@ -433,14 +444,6 @@ def _write_json(path: Path, payload) -> None:
                                allow_nan=True, default=_report_dict) + "\n")
 
 
-def _emit_snapshots(outdir: Path, result: RunResult) -> None:
-    snapdir = outdir / "snapshots"
-    snapdir.mkdir(exist_ok=True)
-    for tag, (t, fields) in result.snapshots.items():
-        for name, f in fields.items():
-            write_snapshot(snapdir / f"{tag}_{name}.bin", f, time=t, name=name)
-
-
 def _manifest(outdir: Path, cfg: RunConfig) -> None:
     files = {}
     for path in sorted(outdir.rglob("*")):
@@ -492,23 +495,25 @@ def _verify_identities(cfg: RunConfig, outdir: Path) -> int:
 
 def _solve(cfg: RunConfig, outdir: Path, u0: Field, command: str) -> int:
     """The commands that step a solver: ``run`` steps ``cfg.mode``, the
-    others EL (``compare`` beside its oracle)."""
+    others EL (``compare`` beside its oracle). The snapshots are written
+    while the solver runs, the other artifacts after it."""
     mode = {"run": cfg.mode, "compare": "compare"}.get(command, "el")
+    snapdir = outdir / "snapshots"
+    snapdir.mkdir(exist_ok=True)
     if mode == "compare":
-        result, reports = compare_runs(cfg, u0)
+        result, reports = compare_runs(cfg, u0, snapdir=snapdir)
         if reports:
             _write_json(outdir / "report_compare.json", reports[cfg.compare_kind])
     elif mode == "classical":
-        result = run_classical(cfg, u0)
+        result = run_classical(cfg, u0, snapdir)
     elif mode == "cotangent":
-        result = run_cotangent(cfg, u0)
+        result = run_cotangent(cfg, u0, snapdir)
     else:
-        result = run_el(cfg, u0)
+        result = run_el(cfg, u0, snapdir=snapdir)
     write_timeseries_csv(result.records, outdir / "timeseries.csv",
                          m_list=cfg.m_list)
     if result.resets:
         _write_json(outdir / "resets.json", {"times": result.resets})
-    _emit_snapshots(outdir, result)
     if result.failure is not None:
         _write_json(outdir / "failure.json", result.failure)
         return 2

@@ -9,7 +9,9 @@ Every transform goes through ``to_spectral``/``to_physical``. 2D grids use
 numpy's FFT; 3D grids call scipy's compiled pocketfft kernel, loaded from
 its file on the first 3D transform. elflow never imports ``scipy.fft``,
 whose import also pulls in ``scipy.special``. Both give the bits of
-``scipy.fft.rfftn``/``irfftn``.
+``scipy.fft.rfftn``/``irfftn``. ``to_physical(..., overwrite=True)`` makes
+the inverse's passes in the spectrum it is given, in both dims, so a
+temporary spectrum is inverted without a work array of its own.
 
 The array-level helpers (suffix ``_hat``) operate on spectral arrays whose
 last ``dim`` axes follow the rfftn layout; leading axes are treated as
@@ -88,21 +90,28 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
-    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` a 2D
+    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
     transform uses ``hat`` as work space; pass it only for a temporary that
-    is not read again. 3D transforms leave ``hat`` as it is either way: the
-    kernel's c2r works in a buffer of its own."""
+    is not read again."""
+    # scipy's order: unscaled c2c over the leading transform axes, unscaled
+    # c2r on the last axis, then one scaling by 1/n^dim (a scaling per pass
+    # rounds differently unless n is a power of two)
     if grid.dim == 2:
-        # scipy's order: unscaled c2c on axis -2, unscaled c2r on the last
-        # axis, then one scaling by 1/n^2 (two scalings by 1/n round
-        # differently unless n is a power of two)
         work = np.fft.ifft(hat, axis=-2, norm="forward", out=hat if overwrite else None)
         out = np.fft.irfft(work, n=grid.n, norm="forward")
         out *= 1.0 / (grid.n * grid.n)
         return out
-    # the call scipy.fft.irfftn makes
-    return _pocketfft().c2r(hat, axes=_axes(hat), lastsize=grid.n, forward=False,
-                            inorm=2, nthreads=_WORKERS)
+    kernel, axes = _pocketfft(), _axes(hat)
+    if not overwrite:
+        # the call scipy.fft.irfftn makes: its c2r copies hat to a work array
+        return kernel.c2r(hat, axes=axes, lastsize=grid.n, forward=False,
+                          inorm=2, nthreads=_WORKERS)
+    # the same passes, the first in hat itself
+    kernel.c2c(hat, axes=axes[:2], forward=False, inorm=0, nthreads=_WORKERS, out=hat)
+    out = kernel.c2r(hat, axes=axes[2:], lastsize=grid.n, forward=False, inorm=0,
+                     nthreads=_WORKERS)
+    out *= 1.0 / grid.n**3
+    return out
 
 
 # -- array-level operators ---------------------------------------------------
@@ -266,6 +275,7 @@ def hessian(s: Field) -> Field:
     out = np.empty((grid.dim, grid.dim, *grid.shape))
     for k, j, block in second_derivs(grid, to_spectral(grid, s.data)):
         out[k, j] = out[j, k] = block
+        del block   # not held while the next block is made
     return Field(grid, out)
 
 

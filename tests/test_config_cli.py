@@ -160,13 +160,18 @@ class TestCompareRuns:
         assert rep.max_rel_l2 == 0.0 and rep.max_rel_linf == 0.0
 
     @pytest.mark.parametrize("kind", ["classical", "cotangent", "gauge"])
-    def test_oracle_keeps_no_records_or_snapshots(self, kind):
+    def test_oracle_keeps_no_records_or_snapshots(self, kind, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(runner, "write_snapshot",
+                            lambda path, *args, **kwargs: written.append(path.name))
         cfg = tiny_config(compare_kind=kind)
         u0 = initial_velocity(cfg)
         beside = Lockstep(cfg, u0, kind)
-        run_el(cfg, u0, each_sample=beside)
+        run_el(cfg, u0, each_sample=beside, snapdir=tmp_path)
         beside.finish()
-        assert beside.result.records == [] and beside.result.snapshots == {}
+        assert beside.result.records == []
+        # the EL run's seven fields, each once at t = 0 and once at t_end
+        assert len(written) == len(set(written)) == 14
 
     @pytest.mark.parametrize("kind", ["classical", "cotangent", "gauge"])
     def test_only_el_samples_are_recorded(self, kind, tmp_path, monkeypatch):
@@ -396,6 +401,20 @@ class TestCLI:
         assert not (out / "failure.json").exists()
         last = (out / "timeseries.csv").read_text().splitlines()[-1].split(",")
         assert float(last[1]) > 0.0   # energy
+
+    def test_initial_snapshots_are_on_disk_before_the_last_sample(self, tmp_path, monkeypatch):
+        cfg, out = tiny_config(mode="el"), tmp_path / "o"
+        seen = []
+
+        def el_sample(state, *args, _fn=runner.el_sample, **kwargs):
+            if math.isclose(state.t, cfg.t_end):
+                seen.extend(read_snapshot(f)[1]["time"]
+                            for f in out.glob("snapshots/initial_*.bin"))
+            return _fn(state, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "el_sample", el_sample)
+        assert execute(cfg, out) == 0
+        assert seen == [0.0] * 7
 
     def test_failure_off_the_cadence_snapshots_the_last_state(self, tmp_path, monkeypatch):
         steps = []

@@ -6,12 +6,14 @@ stated in real scalar fields (``n**dim`` float64 values) at 3D n=16 and
 bound the arrays the code holds at once: the second-derivative and
 commutator algebra is consumed block by block, never as whole rank-3 or
 rank-4 tensors, and no identity check holds more than one EL step's
-working set plus the fields it names. The 3D transforms run on scipy's
-compiled pocketfft kernel, whose ``c2r`` work array is allocated outside
-Python's allocator; it is not traced and not counted here. The 2D transforms
-run on numpy's, whose work arrays are traced; ``to_physical(...,
-overwrite=True)`` keeps them off the peak by working in place in a
-temporary spectrum.
+working set plus the fields it names. A run writes each snapshot when it is
+taken, so a whole command holds none of them past its sample.
+``to_physical(..., overwrite=True)`` works in place in a temporary spectrum
+in both dims. The 3D transforms run on scipy's compiled pocketfft kernel,
+whose ``c2r`` over all three axes, made only with ``overwrite=False``,
+copies the spectrum to a work array outside Python's allocator; that array
+is not traced and not counted here. The 2D transforms run on numpy's, whose
+work arrays are traced.
 
 Run as a script to print the peak of every budgeted call on a 3D grid of
 n points per axis (default 16):
@@ -19,6 +21,7 @@ n points per axis (default 16):
     PYTHONPATH=src python tests/test_memory_budget.py 48
 """
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -33,7 +36,7 @@ from elflow.identities import (
     check_gamma_commutation, make_test_state, random_displacement,
 )
 from elflow.initial import random_scalar
-from elflow.runner import compare_runs, el_sample, initial_velocity
+from elflow.runner import compare_runs, el_sample, execute, initial_velocity
 
 GRID = Grid(3, 16, 2.0 * np.pi)
 FORCE = ForcingSpec("single_mode", amplitude=0.5)
@@ -53,7 +56,7 @@ def peak_fields(fn, grid: Grid = GRID) -> float:
     return peak / (8 * grid.n**grid.dim)
 
 
-def _calls(grid: Grid = GRID):
+def _calls(outdir, grid: Grid = GRID):
     state = make_test_state(grid, 1, 0.05)
     ell = random_displacement(grid, 1, 0.2)
     g = random_scalar(grid, 2, width=CORPUS_SPECTRAL_WIDTH)
@@ -62,6 +65,10 @@ def _calls(grid: Grid = GRID):
                       initial=InitialConfig(kind="random_bandlimited"), cadence=5,
                       compare_kind="gauge").validate()
     u0 = initial_velocity(gauge)
+    # the compare command, forced and viscous, with all its artifacts
+    compare = RunConfig(grid=GridConfig(dim=grid.dim, n=grid.n), nu=NU, dt=2e-3,
+                        t_end=0.02, initial=InitialConfig(kind="random_bandlimited"),
+                        forcing=FORCE, cadence=5).validate()
     return {
         "el_step": lambda: el_step(state, FORCE, 2e-3, nu=NU),
         "derive": lambda: derive(state),
@@ -70,26 +77,28 @@ def _calls(grid: Grid = GRID):
         "check_gamma_commutation": lambda: check_gamma_commutation(state, g, 2e-3, nu=NU),
         "check_braces": lambda: check_braces(ell),
         "compare_gauge": lambda: compare_runs(gauge, u0),
+        "execute_compare": lambda: execute(compare, outdir, "compare"),
     }
 
 
-# Measured peaks plus about 5% (numpy 2.4): el_step 72.8, derive 62.3,
-# el_sample 62.3, check_C_evolution 97.6, check_gamma_commutation 82.4,
-# check_braces 59.3, compare_gauge 108.2 fields.
+# Measured peaks plus about 5% (numpy 2.4): el_step 68.8, derive 59.3,
+# el_sample 59.3, check_C_evolution 86.9, check_gamma_commutation 78.4,
+# check_braces 56.3, compare_gauge 89.2, execute_compare 82.3 fields.
 BUDGETS = {
-    "el_step": 76,
-    "derive": 66,
-    "el_sample": 65,
-    "check_C_evolution": 103,
-    "check_gamma_commutation": 87,
-    "check_braces": 62,
-    "compare_gauge": 114,
+    "el_step": 72,
+    "derive": 62,
+    "el_sample": 62,
+    "check_C_evolution": 91,
+    "check_gamma_commutation": 82,
+    "check_braces": 59,
+    "compare_gauge": 94,
+    "execute_compare": 86,
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
-def test_peak_within_budget(name):
-    peak = peak_fields(_calls()[name])
+def test_peak_within_budget(name, tmp_path):
+    peak = peak_fields(_calls(tmp_path)[name])
     assert peak <= BUDGETS[name], f"{name} peaked at {peak:.1f} fields"
 
 
@@ -118,5 +127,7 @@ if __name__ == "__main__":
     grid = Grid(3, int(sys.argv[1]) if len(sys.argv) > 1 else GRID.n, 2.0 * np.pi)
     print(f"peak working set at 3D n={grid.n}, in scalar fields "
           f"of {8 * grid.n**grid.dim} bytes")
-    for name, fn in _calls(grid).items():
-        print(f"  {name:24s} {peak_fields(fn, grid):7.1f}   (budget at n=16: {BUDGETS[name]})")
+    with tempfile.TemporaryDirectory() as outdir:
+        for name, fn in _calls(outdir, grid).items():
+            print(f"  {name:24s} {peak_fields(fn, grid):7.1f}   "
+                  f"(budget at n=16: {BUDGETS[name]})")

@@ -356,16 +356,18 @@ class TestTransformBackends:
         assert scipy.__version__ in str(err.value)
         assert str(tmp_path / "fft" / "_pocketfft") in str(err.value)
 
-    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (3, 32), (3, 48)])
     def test_overwrite_gives_the_same_bits(self, dim, n):
+        """n = 48, not a power of two, checks the single scaling by 1/n^dim."""
         g = Grid(dim, n, TWO_PI)
-        hat = to_spectral(g, np.random.default_rng(dim).standard_normal((3, *g.shape)))
-        kept = hat.copy()
-        out = to_physical(g, hat)
-        assert np.array_equal(hat, kept)            # overwrite=False leaves hat as it was
-        assert np.array_equal(to_physical(g, hat, overwrite=True), out)
-        if dim == 3:                                # the kernel's c2r has its own work buffer
-            assert np.array_equal(hat, kept)
+        for stack in [(), (3,), (3, 3)]:
+            values = np.random.default_rng(dim).standard_normal((*stack, *g.shape))
+            hat = to_spectral(g, values)
+            kept = hat.copy()
+            out = to_physical(g, hat)
+            assert np.array_equal(hat, kept)        # overwrite=False leaves hat as it was
+            assert np.array_equal(to_physical(g, hat, overwrite=True), out)
+            assert not np.array_equal(hat, kept)    # overwrite=True worked in hat
 
 
 class TestFieldInvariants:
