@@ -15,7 +15,7 @@ from .fields import Field
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import (
-    dealias_hat, grad_hat, leray_hat, to_physical, to_spectral,
+    grad_hat, leray_hat, to_physical, to_spectral,
 )
 from .stepping import ensure_finite, if_rk4_step
 
@@ -29,13 +29,15 @@ class NSState:
 
 
 def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: Field | None):
-    """P(dealias(-u.grad u) + f) in spectral space, and the velocity u."""
-    u = to_physical(grid, uhat)
-    jac = to_physical(grid, grad_hat(grid, uhat), overwrite=True)  # jac[i, m] = d_i u_m
+    """P(dealias(-u.grad u) + f) in spectral space, and the velocity u, from
+    the dealiased ``uhat``."""
+    u = to_physical(grid, uhat, band=True)
+    jac = to_physical(grid, grad_hat(grid, uhat), overwrite=True,
+                      band=True)   # jac[i, m] = d_i u_m
     adv = np.einsum("i...,im...->m...", u, jac)
-    out = dealias_hat(grid, to_spectral(grid, -adv))
+    out = to_spectral(grid, -adv, band=True)
     if force is not None:
-        out = out + dealias_hat(grid, to_spectral(grid, force.data))
+        out = out + to_spectral(grid, force.data, band=True)
     return leray_hat(grid, out), u
 
 
@@ -51,8 +53,8 @@ def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NS
     def rhs(yhat, t):
         return _nonlinear_hat(grid, yhat, force)
 
-    uhat = to_spectral(grid, state.u.data)
+    uhat = to_spectral(grid, state.u.data, band=True)
     new_hat = if_rk4_step(grid, uhat, state.t, dt, nu, rhs)
-    u_new = to_physical(grid, new_hat, overwrite=True)
+    u_new = to_physical(grid, new_hat, overwrite=True, band=True)
     ensure_finite(u_new, "velocity", state.t + dt)
     return NSState(state.t + dt, Field(grid, u_new))

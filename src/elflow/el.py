@@ -35,9 +35,9 @@ import numpy as np
 from .errors import NearSingularJacobianError
 from .fields import Field, sup_norm, zeros
 from .forcing import ForcingSpec
-from .grid import Grid, tables
+from .grid import Grid
 from .spectral import (
-    dealias_hat, divergence, grad_hat, gradient, inverse_laplacian, leray_hat,
+    divergence, grad_hat, gradient, inverse_laplacian, leray_hat,
     quadratic_pressure_hat, second_derivs, to_physical, to_spectral, _zero_mode,
 )
 from .stepping import ensure_finite, if_rk4_step
@@ -88,9 +88,10 @@ def initial_state(u0: Field, potential_mode: str = "static") -> ELState:
 # below; every caller composes them. The RK stage alone projects its
 # dealiased w spectrally instead of through ``_project``.
 
-def _grad_ell(grid: Grid, lhat: np.ndarray) -> np.ndarray:
-    """gl[i, m] = d_i ell_m from the spectrum of ell."""
-    return to_physical(grid, grad_hat(grid, lhat), overwrite=True)
+def _grad_ell(grid: Grid, lhat: np.ndarray, *, band: bool = False) -> np.ndarray:
+    """gl[i, m] = d_i ell_m from the spectrum of ell; ``band`` is passed to
+    ``to_physical``."""
+    return to_physical(grid, grad_hat(grid, lhat), overwrite=True, band=band)
 
 
 def _deformation(gl: np.ndarray, det_floor: float):
@@ -172,7 +173,7 @@ def _advection(u: np.ndarray, grad_x: np.ndarray, out: np.ndarray | None = None)
 
 def _advection_hat(grid: Grid, u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
     """The stage term -dealias(FFT(u.grad x))."""
-    return -dealias_hat(grid, to_spectral(grid, _advection(u, grad_x)))
+    return -to_spectral(grid, _advection(u, grad_x), band=True)
 
 
 def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
@@ -192,9 +193,10 @@ def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
 def _commutator_source(grid: Grid, q: np.ndarray, lhat: np.ndarray,
                        gv: np.ndarray) -> np.ndarray:
     """C[m, k; i] gv[k, m] without building C: Q[i, j] s_j with
-    s_j = sum_{k, m} d_j d_k ell_m gv[k, m]."""
+    s_j = sum_{k, m} d_j d_k ell_m gv[k, m], from the dealiased ``lhat``
+    of an RK stage."""
     s = np.zeros((grid.dim, *grid.shape))
-    for k, j, block in second_derivs(grid, lhat):
+    for k, j, block in second_derivs(grid, lhat, band=True):
         s[j] += _advection(block, gv[k])
         if j != k:
             s[k] += _advection(block, gv[j])
@@ -277,40 +279,41 @@ def grad_ell_sup(ell: Field) -> float:
 def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
     """Shared stage evaluation: returns (G_ell_hat, G_v_hat, u).
 
-    G_* are the non-viscous right-hand sides in spectral space with every
-    quadratic product dealiased; u is reconstructed from the dealiased
-    cotangent product.
+    ``lhat`` and ``vhat`` are dealiased, and so are G_*, the non-viscous
+    right-hand sides in spectral space, with every quadratic product
+    dealiased; u is reconstructed from the dealiased cotangent product.
     """
-    gl = _grad_ell(grid, lhat)
+    gl = _grad_ell(grid, lhat, band=True)
     q = _deformation(gl, DEFAULT_DET_FLOOR)[1]   # det is not held
-    what = dealias_hat(grid, to_spectral(grid, _cotangent(gl, to_physical(grid, vhat))))
+    what = to_spectral(grid, _cotangent(gl, to_physical(grid, vhat, band=True)), band=True)
     uhat = leray_hat(grid, what)
     del what
-    u = to_physical(grid, uhat)
+    u = to_physical(grid, uhat, band=True)
 
     g_ell = _advection_hat(grid, u, gl)
     g_ell -= uhat
     del gl, uhat   # only q and u are read below
 
-    gv = to_physical(grid, grad_hat(grid, vhat), overwrite=True)  # gv[k, m] = d_k v_m
+    gv = to_physical(grid, grad_hat(grid, vhat), overwrite=True,
+                     band=True)   # gv[k, m] = d_k v_m
     g_v = _advection_hat(grid, u, gv)
     if nu > 0.0:
-        source = to_spectral(grid, _commutator_source(grid, q, lhat, gv))
-        source *= tables(grid).dealias_mask   # dealias_hat, in place
+        source = to_spectral(grid, _commutator_source(grid, q, lhat, gv), band=True)
         source *= 2.0 * nu
         g_v += source
         del source
     del gv   # the force term needs q alone
     if force is not None:
-        g_v += dealias_hat(grid, to_spectral(grid, _label(q, force.data)))
+        g_v += to_spectral(grid, _label(q, force.data), band=True)
     return g_ell, g_v, u
 
 
 def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
     """Dynamic-potential source: -u.grad n + R_iR_j(u^i u^j) - |u|^2/2 + c."""
-    out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat), overwrite=True))
+    out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat), overwrite=True,
+                                              band=True))
     out += quadratic_pressure_hat(grid, u)
-    out -= dealias_hat(grid, to_spectral(grid, 0.5 * np.sum(u * u, axis=0)))
+    out -= to_spectral(grid, 0.5 * np.sum(u * u, axis=0), band=True)
     out[_zero_mode(grid)] = 0.0  # the free constant fixes a zero spatial mean
     return out
 
@@ -320,14 +323,16 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
 def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
              passive: tuple[Field, ...]):
     """Step the stack of rows ell, v[, n], passive scalars: one forward
-    transform of the stack, one inverse transform of the stepped stack."""
+    transform of the stack, one inverse transform of the stepped stack.
+    The stack is dealiased at its transform, so every stage input and
+    right-hand side is zero off the 2/3 mask."""
     grid = state.ell.grid
     d = grid.dim
     dynamic = state.potential_mode == "dynamic"
     force = None if forcing.is_zero else forcing.field(grid)
     scalars = ([state.n_pot] if dynamic else []) + list(passive)
     yhat = to_spectral(grid, np.concatenate(
-        [state.ell.data, state.v.data] + [s.data[None] for s in scalars]))
+        [state.ell.data, state.v.data] + [s.data[None] for s in scalars]), band=True)
 
     passive_rows = range(2 * d + dynamic, len(yhat))
 
@@ -339,11 +344,12 @@ def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
         if dynamic:
             out[2 * d] = _potential_rhs_hat(grid, y[2 * d], u)
         for row in passive_rows:
-            grad = to_physical(grid, grad_hat(grid, y[row]), overwrite=True)
+            grad = to_physical(grid, grad_hat(grid, y[row]), overwrite=True, band=True)
             out[row] = _advection_hat(grid, u, grad)
         return out, u
 
-    ynew = to_physical(grid, if_rk4_step(grid, yhat, state.t, dt, nu, rhs), overwrite=True)
+    ynew = to_physical(grid, if_rk4_step(grid, yhat, state.t, dt, nu, rhs),
+                       overwrite=True, band=True)
     ensure_finite(ynew[:d], "displacement", state.t + dt)
     ensure_finite(ynew[d:2 * d], "virtual velocity", state.t + dt)
     ell_field = Field(grid, ynew[:d])
@@ -397,16 +403,19 @@ class WState:
 
 
 def _cotangent_nonlinear_hat(grid: Grid, what, force: Field | None):
-    uhat = leray_hat(grid, dealias_hat(grid, what))
-    u = to_physical(grid, uhat)
-    w = to_physical(grid, what)
-    gw = to_physical(grid, grad_hat(grid, what), overwrite=True)   # gw[k, m] = d_k w_m
-    gu = to_physical(grid, grad_hat(grid, uhat), overwrite=True)   # gu[i, j] = d_i u_j
+    """The stage term of the dealiased ``what`` and the velocity u."""
+    uhat = leray_hat(grid, what)
+    u = to_physical(grid, uhat, band=True)
+    w = to_physical(grid, what, band=True)
+    gw = to_physical(grid, grad_hat(grid, what), overwrite=True,
+                     band=True)   # gw[k, m] = d_k w_m
+    gu = to_physical(grid, grad_hat(grid, uhat), overwrite=True,
+                     band=True)   # gu[i, j] = d_i u_j
     adv = np.einsum("k...,km...->m...", u, gw)
     stretch = np.einsum("ij...,j...->i...", gu, w)
-    out = -dealias_hat(grid, to_spectral(grid, adv + stretch))
+    out = -to_spectral(grid, adv + stretch, band=True)
     if force is not None:
-        out += dealias_hat(grid, to_spectral(grid, force.data))
+        out += to_spectral(grid, force.data, band=True)
     return out, u
 
 
@@ -419,8 +428,8 @@ def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
     def rhs(yhat, t):
         return _cotangent_nonlinear_hat(grid, yhat, force)
 
-    what = to_spectral(grid, state.w.data)
+    what = to_spectral(grid, state.w.data, band=True)
     new_hat = if_rk4_step(grid, what, state.t, dt, nu, rhs)
-    w_new = to_physical(grid, new_hat, overwrite=True)
+    w_new = to_physical(grid, new_hat, overwrite=True, band=True)
     ensure_finite(w_new, "cotangent variable", state.t + dt)
     return WState(state.t + dt, Field(grid, w_new))

@@ -78,21 +78,29 @@ def _axes(values: np.ndarray) -> list:
     return [nd - 3, nd - 2, nd - 1]
 
 
-def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """rfftn over the trailing ``dim`` axes; leading axes are components."""
+def to_spectral(grid: Grid, values: np.ndarray, *, band: bool = False) -> np.ndarray:
+    """rfftn over the trailing ``dim`` axes; leading axes are components.
+    With ``band=True`` it returns the dealiased spectrum: exactly zero off
+    the 2/3 mask and, in band, the bits of the full transform."""
     if grid.dim == 2:
         # scipy's pass order: r2c on the last axis, then c2c on axis -2
         hat = np.fft.rfft(values)
-        return np.fft.fft(hat, axis=-2, out=hat)
-    # the call scipy.fft.rfftn makes
-    return _pocketfft().r2c(values, axes=_axes(values), forward=True, inorm=0,
-                            nthreads=_WORKERS)
+        hat = np.fft.fft(hat, axis=-2, out=hat)
+    else:
+        # the call scipy.fft.rfftn makes
+        hat = _pocketfft().r2c(values, axes=_axes(values), forward=True, inorm=0,
+                               nthreads=_WORKERS)
+    if band:
+        hat *= tables(grid).dealias_mask
+    return hat
 
 
-def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
+                band: bool = False) -> np.ndarray:
     """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
     transform uses ``hat`` as work space; pass it only for a temporary that
-    is not read again."""
+    is not read again. ``band=True`` promises that ``hat`` is zero off the
+    2/3 mask; the result is the full inverse's."""
     # scipy's order: unscaled c2c over the leading transform axes, unscaled
     # c2r on the last axis, then one scaling by 1/n^dim (a scaling per pass
     # rounds differently unless n is a power of two)
@@ -133,14 +141,16 @@ def lap_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return -tables(grid).k2 * hat
 
 
-def second_derivs(grid: Grid, hat: np.ndarray):
+def second_derivs(grid: Grid, hat: np.ndarray, *, band: bool = False):
     """Yield (k, j, block) for k <= j, block[...] = d_j d_k f, from the
     spectrum of f (leading axes are components): one inverse transform per
-    block, so the full second-derivative tensor is never held."""
+    block, so the full second-derivative tensor is never held. ``band`` is
+    passed to ``to_physical``."""
     wn = tables(grid).k
     for k in range(grid.dim):
         for j in range(k, grid.dim):
-            yield k, j, to_physical(grid, -(wn[j] * wn[k]) * hat, overwrite=True)
+            yield k, j, to_physical(grid, -(wn[j] * wn[k]) * hat, overwrite=True,
+                                    band=band)
 
 
 def div_hat(grid: Grid, vhat: np.ndarray) -> np.ndarray:
@@ -178,10 +188,6 @@ def poisson_hat(grid: Grid, shat: np.ndarray) -> np.ndarray:
     out = -shat * tab.inv_k2
     out[_zero_mode(grid)] = 0.0
     return out
-
-
-def dealias_hat(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    return hat * tables(grid).dealias_mask
 
 
 # -- field-level operations ---------------------------------------------------
@@ -249,7 +255,7 @@ def quadratic_pressure_hat(grid: Grid, u: np.ndarray) -> np.ndarray:
     out = np.zeros(tab.kshape, dtype=complex)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            qhat = dealias_hat(grid, to_spectral(grid, u[i] * u[j]))
+            qhat = to_spectral(grid, u[i] * u[j], band=True)
             weight = 1.0 if i == j else 2.0
             out += -weight * tab.k[i] * tab.k[j] * qhat
     out *= tab.inv_k2_deriv
@@ -266,7 +272,9 @@ def riesz_pressure(u: Field, c: float = 0.0) -> Field:
 
 def dealias(field: Field) -> Field:
     """2/3-rule truncation: modes with any |index| above n//3 are zeroed."""
-    return _spectral_op(field, dealias_hat)
+    grid = field.grid
+    hat = to_spectral(grid, field.data, band=True)
+    return Field(grid, to_physical(grid, hat, overwrite=True, band=True))
 
 
 def hessian(s: Field) -> Field:
