@@ -13,6 +13,13 @@ whose import also pulls in ``scipy.special``. Both give the bits of
 the inverse's passes in the spectrum it is given, in both dims, so a
 temporary spectrum is inverted without a work array of its own.
 
+The solvers keep their state in the 2/3 band: ``to_spectral(..., band=True)``
+returns the dealiased spectrum, and ``to_physical(..., band=True)`` inverts
+one that is zero off the mask. Both skip the lines of their passes that
+hold only off-band values, and give the full transforms' bits in band.
+Callers pass ``band=True`` where the code guarantees it: the state of an RK
+step, its stages and every dealiased product.
+
 The array-level helpers (suffix ``_hat``) operate on spectral arrays whose
 last ``dim`` axes follow the rfftn layout; leading axes are treated as
 component axes. Field-level operations wrap them behind ``Field``.
@@ -82,17 +89,15 @@ def to_spectral(grid: Grid, values: np.ndarray, *, band: bool = False) -> np.nda
     """rfftn over the trailing ``dim`` axes; leading axes are components.
     With ``band=True`` it returns the dealiased spectrum: exactly zero off
     the 2/3 mask and, in band, the bits of the full transform."""
+    if band:
+        return _to_spectral_band(grid, values)
     if grid.dim == 2:
         # scipy's pass order: r2c on the last axis, then c2c on axis -2
         hat = np.fft.rfft(values)
-        hat = np.fft.fft(hat, axis=-2, out=hat)
-    else:
-        # the call scipy.fft.rfftn makes
-        hat = _pocketfft().r2c(values, axes=_axes(values), forward=True, inorm=0,
-                               nthreads=_WORKERS)
-    if band:
-        hat *= tables(grid).dealias_mask
-    return hat
+        return np.fft.fft(hat, axis=-2, out=hat)
+    # the call scipy.fft.rfftn makes
+    return _pocketfft().r2c(values, axes=_axes(values), forward=True, inorm=0,
+                            nthreads=_WORKERS)
 
 
 def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
@@ -100,7 +105,10 @@ def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
     """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
     transform uses ``hat`` as work space; pass it only for a temporary that
     is not read again. ``band=True`` promises that ``hat`` is zero off the
-    2/3 mask; the result is the full inverse's."""
+    2/3 mask, so the passes skip the lines the mask zeroes; the result is
+    the full inverse's."""
+    if band:
+        return _to_physical_band(grid, hat, overwrite)
     # scipy's order: unscaled c2c over the leading transform axes, unscaled
     # c2r on the last axis, then one scaling by 1/n^dim (a scaling per pass
     # rounds differently unless n is a power of two)
@@ -119,6 +127,76 @@ def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
     out = kernel.c2r(hat, axes=axes[2:], lastsize=grid.n, forward=False, inorm=0,
                      nthreads=_WORKERS)
     out *= 1.0 / grid.n**3
+    return out
+
+
+# The banded transforms make the full transforms' passes, in their order, on
+# the lines that hold in-band values only; every pass runs in place on a
+# strided view. Along a full axis the 2/3 mask keeps the indices 0..n//3 and
+# n-n//3..n-1 (``_band``'s two ``keep`` slices), along the halved last axis
+# 0..n//3 (``last``).
+
+def _band(grid: Grid) -> tuple:
+    """(keep, drop, last, last_drop): the in-band and off-band slices of a
+    full axis and of the halved last axis."""
+    n, c = grid.n, grid.n // 3
+    return ((slice(0, c + 1), slice(n - c, n)), slice(c + 1, n - c),
+            slice(0, c + 1), slice(c + 1, None))
+
+
+def _to_spectral_band(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The forward passes: the last axis on every line, then axis -3 (3D)
+    on in-band last-axis indices, then axis -2 on lines in band along both
+    other axes; the off-band entries are then set to zero."""
+    keep, drop, last, last_drop = _band(grid)
+    if grid.dim == 2:
+        hat = np.fft.rfft(values)
+        lines = hat[..., last]
+        np.fft.fft(lines, axis=-2, out=lines)
+    else:
+        kernel, nd = _pocketfft(), values.ndim
+        hat = kernel.r2c(values, axes=[nd - 1], forward=True, inorm=0, nthreads=_WORKERS)
+        lines = hat[..., last]
+        kernel.c2c(lines, axes=[nd - 3], forward=True, inorm=0, nthreads=_WORKERS,
+                   out=lines)
+        for rows in keep:
+            lines = hat[..., rows, :, last]
+            kernel.c2c(lines, axes=[nd - 2], forward=True, inorm=0, nthreads=_WORKERS,
+                       out=lines)
+        hat[..., drop, :, :] = 0.0
+    hat[..., drop, :] = 0.0
+    hat[..., last_drop] = 0.0
+    return hat
+
+
+def _to_physical_band(grid: Grid, hat: np.ndarray, overwrite: bool) -> np.ndarray:
+    """The inverse passes of a spectrum that is zero off the mask: axis -3
+    (3D) on lines in band along both other axes, then axis -2 on in-band
+    last-axis indices, then the last axis on every line. The work array is
+    ``hat`` itself with ``overwrite``, else a new one whose off-band entries
+    are set to zero."""
+    keep, drop, last, last_drop = _band(grid)
+    if overwrite:
+        work = hat
+    else:
+        work = np.empty_like(hat)
+        work[..., last_drop] = 0.0
+    if grid.dim == 2:
+        np.fft.ifft(hat[..., last], axis=-2, norm="forward", out=work[..., last])
+        out = np.fft.irfft(work, n=grid.n, norm="forward")
+    else:
+        kernel, nd = _pocketfft(), hat.ndim
+        if not overwrite:
+            work[..., drop, last] = 0.0
+        for cols in keep:
+            kernel.c2c(hat[..., cols, last], axes=[nd - 3], forward=False, inorm=0,
+                       nthreads=_WORKERS, out=work[..., cols, last])
+        lines = work[..., last]
+        kernel.c2c(lines, axes=[nd - 2], forward=False, inorm=0, nthreads=_WORKERS,
+                   out=lines)
+        out = kernel.c2r(work, axes=[nd - 1], lastsize=grid.n, forward=False, inorm=0,
+                         nthreads=_WORKERS)
+    out *= 1.0 / grid.n**grid.dim
     return out
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import elflow
 from elflow.errors import FieldCompatibilityError
 from elflow.fields import Field, inner, integral, l2_norm, magnitude, sup_norm
-from elflow.grid import Grid
+from elflow.grid import Grid, tables
 from elflow.initial import random_bandlimited, random_scalar, taylor_green
 from elflow.spectral import (
     dealias, divergence, gradient, hessian, inverse_laplacian,
@@ -368,6 +368,78 @@ class TestTransformBackends:
             assert np.array_equal(hat, kept)        # overwrite=False leaves hat as it was
             assert np.array_equal(to_physical(g, hat, overwrite=True), out)
             assert not np.array_equal(hat, kept)    # overwrite=True worked in hat
+
+    # n = 48 is not a power of two, and n//3 splits neither axis evenly there
+    @pytest.mark.parametrize("dim,n", [(2, 64), (2, 128), (3, 16), (3, 32), (3, 48)])
+    @pytest.mark.parametrize("stack", [(), (3,), (3, 3)], ids=["0", "3", "3x3"])
+    def test_band_transforms_give_the_in_band_bits(self, dim, n, stack):
+        """The banded transforms skip the lines the 2/3 mask zeroes: the
+        forward one gives the full spectrum times the mask, the inverse of a
+        masked spectrum the full inverse, bit for bit."""
+        g = Grid(dim, n, TWO_PI)
+        mask = tables(g).dealias_mask
+        values = np.random.default_rng(n + len(stack)).standard_normal((*stack, *g.shape))
+        full = to_spectral(g, values)
+        hat = to_spectral(g, values, band=True)
+        assert np.array_equal(hat, full * mask)
+        assert not np.any(hat[..., ~mask])
+        out = to_physical(g, full * mask)
+        kept = hat.copy()
+        assert np.array_equal(to_physical(g, hat, band=True), out)
+        assert np.array_equal(hat, kept)        # overwrite=False leaves hat as it was
+        assert np.array_equal(to_physical(g, hat, overwrite=True, band=True), out)
+
+
+def _band_inputs_off_the_mask(monkeypatch, modules) -> list:
+    """Spy on ``to_physical`` in ``modules``: the largest |value| off the
+    2/3 mask of each spectrum passed with ``band=True``."""
+    from elflow import spectral
+    seen = []
+
+    def spy(grid, hat, *, overwrite=False, band=False):
+        if band:
+            seen.append(float(np.max(np.abs(hat[..., ~tables(grid).dealias_mask]))))
+        return spectral_to_physical(grid, hat, overwrite=overwrite, band=band)
+
+    spectral_to_physical = spectral.to_physical
+    for module in modules:
+        monkeypatch.setattr(module, "to_physical", spy)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_solver_states_stay_in_the_band(dim, monkeypatch):
+    """Every spectrum a solver step inverts with ``band=True`` is exactly
+    zero off the mask, over two steps of EL (dynamic potential, forced,
+    viscous, one passive scalar and a label reset between the steps),
+    classical and cotangent."""
+    from elflow import classical, el, spectral
+    from elflow.classical import NSState, ns_step
+    from elflow.el import (
+        WState, cotangent_step, el_step_with_passive, initial_state, reset_labels,
+    )
+    from elflow.forcing import ForcingSpec
+
+    g = Grid(dim, 16, TWO_PI)
+    u0 = random_bandlimited(g, 3, amplitude=1.0, band=g.n // 2)
+    force, dt, nu = ForcingSpec("single_mode", amplitude=0.5), 1e-2, 0.05
+    seen = _band_inputs_off_the_mask(monkeypatch, (el, classical, spectral))
+
+    state, passive = initial_state(u0, potential_mode="dynamic"), (random_scalar(g, 4),)
+    state, passive = el_step_with_passive(state, force, dt, nu=nu, passive=passive)
+    state = reset_labels(state)
+    el_step_with_passive(state, force, dt, nu=nu, passive=passive)
+    ns = NSState(0.0, u0)
+    for _ in range(2):
+        ns = ns_step(ns, force, dt, nu=nu)
+    w = WState(0.0, u0)
+    for _ in range(2):
+        w = cotangent_step(w, force, dt, nu=nu)
+    # per step, 4 stages and the stepped state: an EL stage inverts 6 spectra
+    # and one per second-derivative block, a classical stage 2, a cotangent 4
+    el_calls = 4 * (6 + dim * (dim + 1) // 2) + 1
+    assert len(seen) == 2 * (el_calls + (4 * 2 + 1) + (4 * 4 + 1))
+    assert max(seen) == 0.0
 
 
 class TestFieldInvariants:
