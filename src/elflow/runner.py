@@ -71,18 +71,21 @@ class RunResult:
     failure: dict | None = None
 
 
-def _plan_steps(cfg: RunConfig, u0: Field) -> tuple[int, float]:
+def _plan(cfg: RunConfig, u0: Field) -> tuple[int, float, float]:
+    """The step count, the step and the RMS reference of a run from u0: all
+    that a run reads of u0 besides its initial state."""
+    rms = float(np.sqrt(np.mean(u0.data**2)))
     if cfg.dt is not None:
         steps = max(1, round(cfg.t_end / cfg.dt))
         if abs(steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
             steps = math.ceil(cfg.t_end / cfg.dt)
-        return steps, cfg.t_end / steps
+        return steps, cfg.t_end / steps, rms
     peak = max(sup_norm(u0), 1e-12)
     dt = cfg.cfl_target * u0.grid.spacing / peak
     if not (dt > 0 and math.isfinite(cfg.t_end / dt)):
         raise ConfigError("t_end / dt, the step count from cfl_target, is not finite")
     steps = max(1, math.ceil(cfg.t_end / dt))
-    return steps, cfg.t_end / steps
+    return steps, cfg.t_end / steps, rms
 
 
 def _guard_rms(u: Field, initial_rms: float, t: float) -> None:
@@ -104,21 +107,21 @@ def _failure(exc: ElflowError, solver: str, t: float | None) -> dict:
     return {"error": type(exc).__name__, "message": str(exc), "t": t, "solver": solver}
 
 
-def _drive(result: RunResult, state, u0: Field, step) -> Iterator[tuple[object, bool]]:
+def _drive(result: RunResult, state, plan: tuple[int, float, float],
+           step) -> Iterator[tuple[object, bool]]:
     """The step loop every solver runs, from ``state``, as a generator of
     its sampled states, each with a flag that marks the last: at t = 0,
     every ``cadence`` steps and after the last step.
 
     ``step(state, dt)`` returns the next state and the field the RMS guard
-    watches. The step count and the RMS reference come from ``u0``. A
-    solver error ends the states and is kept in ``result.failure`` with the
-    name of the solver. Nothing is stepped past the last state taken;
-    ``result.final_state``, the last state reached, is set once the states
-    have run out.
+    watches. The step count, the step and the RMS reference come from
+    ``plan`` (``_plan``). A solver error ends the states and is kept in
+    ``result.failure`` with the name of the solver. Nothing is stepped past
+    the last state taken; ``result.final_state``, the last state reached,
+    is set once the states have run out.
     """
     cfg = result.config
-    steps, dt = _plan_steps(cfg, u0)
-    initial_rms = float(np.sqrt(np.mean(u0.data**2)))
+    steps, dt, initial_rms = plan
     yield state, False
     try:
         for i in range(1, steps + 1):
@@ -166,7 +169,11 @@ def _run(result: RunResult, states, sample, snapdir: Path | None = None,
 
 
 # An unstarted run of each solver: its result and the generator of its sampled
-# states, which fills that result as it is advanced.
+# states, which fills that result as it is advanced. A run holds u0 only in its
+# initial state, so a caller that drops its own reference to u0 releases it at
+# the first step (EL states start from a copy). Callers hand u0 over with
+# ``box.pop()``: CPython 3.11+ moves call arguments into the callee's frame, so
+# the callee then holds the only reference.
 
 def _classical(cfg: RunConfig, u0: Field):
     def step(state, dt):
@@ -174,7 +181,7 @@ def _classical(cfg: RunConfig, u0: Field):
         return state, state.u
 
     result = RunResult(cfg, "classical")
-    return result, _drive(result, NSState(0.0, u0), u0, step)
+    return result, _drive(result, NSState(0.0, u0), _plan(cfg, u0), step)
 
 
 def _cotangent(cfg: RunConfig, u0: Field):
@@ -183,7 +190,7 @@ def _cotangent(cfg: RunConfig, u0: Field):
         return state, state.w
 
     result = RunResult(cfg, "cotangent")
-    return result, _drive(result, WState(0.0, u0), u0, step)
+    return result, _drive(result, WState(0.0, u0), _plan(cfg, u0), step)
 
 
 def _el(cfg: RunConfig, u0: Field, v0: Field | None = None):
@@ -197,7 +204,7 @@ def _el(cfg: RunConfig, u0: Field, v0: Field | None = None):
         return state, state.v
 
     state = initial_state(v0 if v0 is not None else u0, potential_mode=cfg.potential_mode)
-    return result, _drive(result, state, u0, step)
+    return result, _drive(result, state, _plan(cfg, u0), step)
 
 
 def _oracle_fields(state) -> dict:
@@ -217,13 +224,15 @@ def _velocity_sample(state, nu: float):
 
 
 def run_classical(cfg: RunConfig, u0: Field, snapdir: Path | None = None) -> RunResult:
-    return _run(*_classical(cfg, u0), lambda state: _velocity_sample(state, cfg.nu),
-                snapdir)
+    run = _classical(cfg, u0)
+    del u0   # held by the initial state alone
+    return _run(*run, lambda state: _velocity_sample(state, cfg.nu), snapdir)
 
 
 def run_cotangent(cfg: RunConfig, u0: Field, snapdir: Path | None = None) -> RunResult:
-    return _run(*_cotangent(cfg, u0), lambda state: _velocity_sample(state, cfg.nu),
-                snapdir)
+    run = _cotangent(cfg, u0)
+    del u0   # held by the initial state alone
+    return _run(*run, lambda state: _velocity_sample(state, cfg.nu), snapdir)
 
 
 def run_el(cfg: RunConfig, u0: Field, each_sample=None,
@@ -234,7 +243,9 @@ def run_el(cfg: RunConfig, u0: Field, each_sample=None,
     def sample(state):
         return el_sample(state, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing)
 
-    return _run(*_el(cfg, u0), sample, snapdir, each_sample)
+    run = _el(cfg, u0)
+    del u0   # the initial state holds a copy
+    return _run(*run, sample, snapdir, each_sample)
 
 
 def el_sample(state: ELState, nu: float, *, m_list=(2, 3), forcing=None):
@@ -358,7 +369,8 @@ def compare_runs(cfg: RunConfig, u0: Field, kinds: tuple[str, ...] | None = None
         for oracle in oracles.values():
             oracle(t, fields)
 
-    result = run_el(cfg, u0, each_sample=each_sample, snapdir=snapdir)
+    u0 = [u0]   # handed over: run_el holds the only reference
+    result = run_el(cfg, u0.pop(), each_sample=each_sample, snapdir=snapdir)
     for oracle in oracles.values():
         result.failure = result.failure or oracle.result.failure
     if result.failure is not None:
@@ -469,8 +481,8 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
     if command in ("bounds-report", "pair-dispersion"):
         _require_unbroken(cfg)
     if command != "verify-identities":
-        u0 = initial_velocity(cfg)
-        _plan_steps(cfg, u0)   # a step count from cfl_target needs u0
+        u0 = [initial_velocity(cfg)]   # handed over to _solve
+        _plan(cfg, u0[0])   # a step count from cfl_target needs u0
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "config.json", cfg.to_dict())
@@ -493,23 +505,21 @@ def _verify_identities(cfg: RunConfig, outdir: Path) -> int:
     return 0 if ok else 3
 
 
-def _solve(cfg: RunConfig, outdir: Path, u0: Field, command: str) -> int:
+def _solve(cfg: RunConfig, outdir: Path, u0: list, command: str) -> int:
     """The commands that step a solver: ``run`` steps ``cfg.mode``, the
-    others EL (``compare`` beside its oracle). The snapshots are written
-    while the solver runs, the other artifacts after it."""
+    others EL (``compare`` beside its oracle), from the u0 handed over in
+    the list ``u0``. The snapshots are written while the solver runs, the
+    other artifacts after it."""
     mode = {"run": cfg.mode, "compare": "compare"}.get(command, "el")
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
     if mode == "compare":
-        result, reports = compare_runs(cfg, u0, snapdir=snapdir)
+        result, reports = compare_runs(cfg, u0.pop(), snapdir=snapdir)
         if reports:
             _write_json(outdir / "report_compare.json", reports[cfg.compare_kind])
-    elif mode == "classical":
-        result = run_classical(cfg, u0, snapdir)
-    elif mode == "cotangent":
-        result = run_cotangent(cfg, u0, snapdir)
     else:
-        result = run_el(cfg, u0, snapdir=snapdir)
+        run = {"classical": run_classical, "cotangent": run_cotangent}.get(mode, run_el)
+        result = run(cfg, u0.pop(), snapdir=snapdir)
     write_timeseries_csv(result.records, outdir / "timeseries.csv",
                          m_list=cfg.m_list)
     if result.resets:

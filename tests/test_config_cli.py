@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -187,6 +188,34 @@ class TestCompareRuns:
         assert execute(tiny_config(compare_kind=kind), out, command="compare") == 0
         rows = len((out / "timeseries.csv").read_text().splitlines()) - 1
         assert (calls["record_classical"], calls["record_el"]) == (0, rows)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="call arguments stay on the caller's stack before CPython 3.11")
+    @pytest.mark.parametrize("kind", ["classical", "cotangent", "gauge"])
+    def test_u0_is_released_at_the_first_step(self, kind, tmp_path, monkeypatch):
+        """A compare reads u0 for its step plan, its RMS reference and the
+        initial states alone: once its first stepped sample is taken, no
+        frame holds u0's data. A classical or cotangent oracle starts from
+        u0 itself, so it is alive at t = 0; EL states start from a copy."""
+        made, alive = [], []
+        make = runner.initial_velocity
+
+        def tracked(cfg):
+            u0 = make(cfg)
+            made.append(weakref.ref(u0.data))
+            return u0
+
+        take = Lockstep.__call__
+
+        def sampled(self, t, fields):
+            take(self, t, fields)
+            alive.append(made[0]() is not None)
+
+        monkeypatch.setattr(runner, "initial_velocity", tracked)
+        monkeypatch.setattr(Lockstep, "__call__", sampled)
+        assert execute(tiny_config(compare_kind=kind), tmp_path / "o", command="compare") == 0
+        assert len(alive) == 6 and alive[0] == (kind != "gauge")
+        assert not any(alive[1:])
 
     def test_mismatched_grids_rejected(self):
         a, b = (tiny_config(mode="classical"),
