@@ -279,9 +279,10 @@ def grad_ell_sup(ell: Field) -> float:
 def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
     """Shared stage evaluation: returns (G_ell_hat, G_v_hat, u).
 
-    ``lhat`` and ``vhat`` are dealiased, and so are G_*, the non-viscous
-    right-hand sides in spectral space, with every quadratic product
-    dealiased; u is reconstructed from the dealiased cotangent product.
+    G_* are the non-viscous right-hand sides in spectral space with every
+    quadratic product dealiased, so they are zero off the 2/3 mask like
+    ``lhat`` and ``vhat``; u is reconstructed from the dealiased cotangent
+    product.
     """
     gl = _grad_ell(grid, lhat, band=True)
     q = _deformation(gl, DEFAULT_DET_FLOOR)[1]   # det is not held

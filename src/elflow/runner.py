@@ -517,9 +517,12 @@ def _solve(cfg: RunConfig, outdir: Path, u0: list, command: str) -> int:
         result, reports = compare_runs(cfg, u0.pop(), snapdir=snapdir)
         if reports:
             _write_json(outdir / "report_compare.json", reports[cfg.compare_kind])
+    elif mode == "classical":
+        result = run_classical(cfg, u0.pop(), snapdir)
+    elif mode == "cotangent":
+        result = run_cotangent(cfg, u0.pop(), snapdir)
     else:
-        run = {"classical": run_classical, "cotangent": run_cotangent}.get(mode, run_el)
-        result = run(cfg, u0.pop(), snapdir=snapdir)
+        result = run_el(cfg, u0.pop(), snapdir=snapdir)
     write_timeseries_csv(result.records, outdir / "timeseries.csv",
                          m_list=cfg.m_list)
     if result.resets:

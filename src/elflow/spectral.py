@@ -131,10 +131,10 @@ def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
 
 
 # The banded transforms make the full transforms' passes, in their order, on
-# the lines that hold in-band values only; every pass runs in place on a
-# strided view. Along a full axis the 2/3 mask keeps the indices 0..n//3 and
-# n-n//3..n-1 (``_band``'s two ``keep`` slices), along the halved last axis
-# 0..n//3 (``last``).
+# the lines that hold in-band values only: each pass is one transform call on
+# strided views of those lines, with no copy of them. Along a full axis the
+# 2/3 mask keeps the indices 0..n//3 and n-n//3..n-1 (``_band``'s two
+# ``keep`` slices), along the halved last axis 0..n//3 (``last``).
 
 def _band(grid: Grid) -> tuple:
     """(keep, drop, last, last_drop): the in-band and off-band slices of a

@@ -369,7 +369,7 @@ class TestTransformBackends:
             assert np.array_equal(to_physical(g, hat, overwrite=True), out)
             assert not np.array_equal(hat, kept)    # overwrite=True worked in hat
 
-    # n = 48 is not a power of two, and n//3 splits neither axis evenly there
+    # n = 48 is not a power of two
     @pytest.mark.parametrize("dim,n", [(2, 64), (2, 128), (3, 16), (3, 32), (3, 48)])
     @pytest.mark.parametrize("stack", [(), (3,), (3, 3)], ids=["0", "3", "3x3"])
     def test_band_transforms_give_the_in_band_bits(self, dim, n, stack):
@@ -389,57 +389,47 @@ class TestTransformBackends:
         assert np.array_equal(hat, kept)        # overwrite=False leaves hat as it was
         assert np.array_equal(to_physical(g, hat, overwrite=True, band=True), out)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_solver_states_stay_in_the_band(self, dim, monkeypatch):
+        """Every spectrum a solver step inverts with ``band=True`` is exactly
+        zero off the mask, over two steps of EL (dynamic potential, forced,
+        viscous, one passive scalar and a label reset between the steps),
+        classical and cotangent."""
+        from elflow import classical, el, spectral
+        from elflow.classical import NSState, ns_step
+        from elflow.el import (
+            WState, cotangent_step, el_step_with_passive, initial_state, reset_labels,
+        )
+        from elflow.forcing import ForcingSpec
 
-def _band_inputs_off_the_mask(monkeypatch, modules) -> list:
-    """Spy on ``to_physical`` in ``modules``: the largest |value| off the
-    2/3 mask of each spectrum passed with ``band=True``."""
-    from elflow import spectral
-    seen = []
+        g = Grid(dim, 16, TWO_PI)
+        u0 = random_bandlimited(g, 3, amplitude=1.0, band=g.n // 2)
+        force, dt, nu = ForcingSpec("single_mode", amplitude=0.5), 1e-2, 0.05
+        seen, full = [], spectral.to_physical   # largest |value| off the mask per banded input
 
-    def spy(grid, hat, *, overwrite=False, band=False):
-        if band:
-            seen.append(float(np.max(np.abs(hat[..., ~tables(grid).dealias_mask]))))
-        return spectral_to_physical(grid, hat, overwrite=overwrite, band=band)
+        def spy(grid, hat, *, overwrite=False, band=False):
+            if band:
+                seen.append(float(np.max(np.abs(hat[..., ~tables(grid).dealias_mask]))))
+            return full(grid, hat, overwrite=overwrite, band=band)
 
-    spectral_to_physical = spectral.to_physical
-    for module in modules:
-        monkeypatch.setattr(module, "to_physical", spy)
-    return seen
+        for module in (el, classical, spectral):
+            monkeypatch.setattr(module, "to_physical", spy)
 
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_solver_states_stay_in_the_band(dim, monkeypatch):
-    """Every spectrum a solver step inverts with ``band=True`` is exactly
-    zero off the mask, over two steps of EL (dynamic potential, forced,
-    viscous, one passive scalar and a label reset between the steps),
-    classical and cotangent."""
-    from elflow import classical, el, spectral
-    from elflow.classical import NSState, ns_step
-    from elflow.el import (
-        WState, cotangent_step, el_step_with_passive, initial_state, reset_labels,
-    )
-    from elflow.forcing import ForcingSpec
-
-    g = Grid(dim, 16, TWO_PI)
-    u0 = random_bandlimited(g, 3, amplitude=1.0, band=g.n // 2)
-    force, dt, nu = ForcingSpec("single_mode", amplitude=0.5), 1e-2, 0.05
-    seen = _band_inputs_off_the_mask(monkeypatch, (el, classical, spectral))
-
-    state, passive = initial_state(u0, potential_mode="dynamic"), (random_scalar(g, 4),)
-    state, passive = el_step_with_passive(state, force, dt, nu=nu, passive=passive)
-    state = reset_labels(state)
-    el_step_with_passive(state, force, dt, nu=nu, passive=passive)
-    ns = NSState(0.0, u0)
-    for _ in range(2):
-        ns = ns_step(ns, force, dt, nu=nu)
-    w = WState(0.0, u0)
-    for _ in range(2):
-        w = cotangent_step(w, force, dt, nu=nu)
-    # per step, 4 stages and the stepped state: an EL stage inverts 6 spectra
-    # and one per second-derivative block, a classical stage 2, a cotangent 4
-    el_calls = 4 * (6 + dim * (dim + 1) // 2) + 1
-    assert len(seen) == 2 * (el_calls + (4 * 2 + 1) + (4 * 4 + 1))
-    assert max(seen) == 0.0
+        state, passive = initial_state(u0, potential_mode="dynamic"), (random_scalar(g, 4),)
+        state, passive = el_step_with_passive(state, force, dt, nu=nu, passive=passive)
+        state = reset_labels(state)
+        el_step_with_passive(state, force, dt, nu=nu, passive=passive)
+        ns = NSState(0.0, u0)
+        for _ in range(2):
+            ns = ns_step(ns, force, dt, nu=nu)
+        w = WState(0.0, u0)
+        for _ in range(2):
+            w = cotangent_step(w, force, dt, nu=nu)
+        # per step, 4 stages and the stepped state: an EL stage inverts 6 spectra
+        # and one per second-derivative block, a classical stage 2, a cotangent 4
+        el_calls = 4 * (6 + dim * (dim + 1) // 2) + 1
+        assert len(seen) == 2 * (el_calls + (4 * 2 + 1) + (4 * 4 + 1))
+        assert max(seen) == 0.0
 
 
 class TestFieldInvariants:
