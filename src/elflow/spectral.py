@@ -18,7 +18,10 @@ returns the dealiased spectrum, and ``to_physical(..., band=True)`` inverts
 one that is zero off the mask. Both skip the lines of their passes that
 hold only off-band values, and give the full transforms' bits in band.
 Callers pass ``band=True`` where the code guarantees it: the state of an RK
-step, its stages and every dealiased product.
+step, its stages and every dealiased product. ``pack(grid, hat)`` copies the
+in-band coefficients of a spectrum to a dense array (``band_index(grid)``
+indexes them), so a spectrum that is zero off the mask is held in 28% of its
+entries at 3D n=32 and 45% at 2D n=64.
 
 The array-level helpers (suffix ``_hat``) operate on spectral arrays whose
 last ``dim`` axes follow the rfftn layout; leading axes are treated as
@@ -142,6 +145,22 @@ def _band(grid: Grid) -> tuple:
     n, c = grid.n, grid.n // 3
     return ((slice(0, c + 1), slice(n - c, n)), slice(c + 1, n - c),
             slice(0, c + 1), slice(c + 1, None))
+
+
+@functools.lru_cache(maxsize=32)
+def band_index(grid: Grid) -> tuple:
+    """Index of the in-band coefficients of a spectrum: ``hat[band_index(grid)]``
+    has the trailing shape (2c+1, [2c+1,] c+1), c = n//3, each full axis in the
+    order of ``_band``'s ``keep`` slices. Assigning through it writes them back."""
+    keep, _, last, _ = _band(grid)
+    full = np.concatenate([np.arange(grid.n)[rows] for rows in keep])
+    full.setflags(write=False)
+    return (Ellipsis, *np.ix_(*[full] * (grid.dim - 1)), last)
+
+
+def pack(grid: Grid, hat: np.ndarray) -> np.ndarray:
+    """The in-band coefficients of ``hat`` as a new dense array."""
+    return hat[band_index(grid)]
 
 
 def _to_spectral_band(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -81,18 +81,18 @@ def _calls(outdir, grid: Grid = GRID):
     }
 
 
-# Measured peaks plus about 5% (numpy 2.4): el_step 68.8, derive 59.3,
-# el_sample 59.3, check_C_evolution 86.9, check_gamma_commutation 78.4,
-# check_braces 56.3, compare_gauge 89.2, execute_compare 82.3 fields.
+# Measured peaks plus about 5% (numpy 2.4): el_step 54.2, derive 59.3,
+# el_sample 59.3, check_C_evolution 86.9, check_gamma_commutation 73.4,
+# check_braces 56.3, compare_gauge 74.6, execute_compare 69.7 fields.
 BUDGETS = {
-    "el_step": 72,
+    "el_step": 57,
     "derive": 62,
     "el_sample": 62,
     "check_C_evolution": 91,
-    "check_gamma_commutation": 82,
+    "check_gamma_commutation": 77,
     "check_braces": 59,
-    "compare_gauge": 94,
-    "execute_compare": 86,
+    "compare_gauge": 79,
+    "execute_compare": 74,
 }
 
 
