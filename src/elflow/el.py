@@ -321,9 +321,12 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
 
 # -- time stepping ------------------------------------------------------------
 
-def _advance(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float,
-             passive: tuple[Field, ...]):
-    """Step the stack of rows ell, v[, n], passive scalars: one forward
+def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
+                         nu: float, passive: tuple[Field, ...] = ()):
+    """Like ``el_step`` but co-evolves scalars by pure advection-diffusion;
+    returns the new state and the stepped scalars.
+
+    Steps the stack of rows ell, v[, n], passive scalars: one forward
     transform of the stack, one inverse transform of the stepped stack.
     The stack is dealiased at its transform, so every stage input and
     right-hand side is zero off the 2/3 mask."""
@@ -371,14 +374,7 @@ def el_step(state: ELState, forcing: ForcingSpec, dt: float, *, nu: float) -> EL
     ``NearSingularJacobianError`` when the deformation determinant crosses
     ``DEFAULT_DET_FLOOR``.
     """
-    new_state, _ = _advance(state, forcing, dt, nu=nu, passive=())
-    return new_state
-
-
-def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
-                         nu: float, passive: tuple[Field, ...]):
-    """Like ``el_step`` but co-evolves scalars by pure advection-diffusion."""
-    return _advance(state, forcing, dt, nu=nu, passive=tuple(passive))
+    return el_step_with_passive(state, forcing, dt, nu=nu)[0]
 
 
 def reset_labels(state: ELState) -> ELState:

@@ -5,23 +5,27 @@ Riesz-transform pressure and 2/3-rule dealiasing. All operations are pure
 functions of their inputs and exact for band-limited data; products of
 fields are the caller's responsibility to dealias.
 
-Every transform goes through ``to_spectral``/``to_physical``. 2D grids use
-numpy's FFT; 3D grids call scipy's compiled pocketfft kernel, loaded from
-its file on the first 3D transform. elflow never imports ``scipy.fft``,
-whose import also pulls in ``scipy.special``. Both give the bits of
-``scipy.fft.rfftn``/``irfftn``. ``to_physical(..., overwrite=True)`` makes
-the inverse's passes in the spectrum it is given, in both dims, so a
-temporary spectrum is inverted without a work array of its own.
+The solvers' transforms go through ``to_spectral``/``to_physical``; only
+the test-only ``resample`` calls numpy's complex ``fftn``. Both functions
+make the passes of ``scipy.fft.rfftn``/``irfftn``, in its order, one axis
+at a time, and give its bits: 2D grids on numpy's FFT, 3D grids on scipy's
+compiled pocketfft kernel, loaded from its file on the first 3D transform.
+elflow never imports ``scipy.fft``, whose import also pulls in
+``scipy.special``. ``to_physical(..., overwrite=True)`` makes the inverse's
+passes in the spectrum it is given, so a temporary spectrum is inverted
+without a work array of its own.
 
-The solvers keep their state in the 2/3 band: ``to_spectral(..., band=True)``
-returns the dealiased spectrum, and ``to_physical(..., band=True)`` inverts
-one that is zero off the mask. Both skip the lines of their passes that
-hold only off-band values, and give the full transforms' bits in band.
-Callers pass ``band=True`` where the code guarantees it: the state of an RK
-step, its stages and every dealiased product. ``pack(grid, hat)`` copies the
-in-band coefficients of a spectrum to a dense array (``band_index(grid)``
-indexes them), so a spectrum that is zero off the mask is held in 28% of its
-entries at 3D n=32 and 45% at 2D n=64.
+The full and the banded transforms are the same passes: the full ones take
+every line, and with ``band=True`` they skip the lines that hold only
+off-band values. ``to_spectral(..., band=True)`` returns the dealiased
+spectrum, and ``to_physical(..., band=True)`` inverts one that is zero off
+the mask; both give the full transforms' bits in band. The solvers keep
+their state in the 2/3 band, and callers pass ``band=True`` where the code
+guarantees it: the state of an RK step, its stages and every dealiased
+product. ``pack(grid, hat)`` copies the in-band coefficients of a spectrum
+to a dense array (``band_index(grid)`` indexes them), so a spectrum that is
+zero off the mask is held in 28% of its entries at 3D n=32 and 45% at 2D
+n=64.
 
 The array-level helpers (suffix ``_hat``) operate on spectral arrays whose
 last ``dim`` axes follow the rfftn layout; leading axes are treated as
@@ -83,65 +87,21 @@ def _pocketfft():
                       f"{version('scipy')} has no pypocketfft extension in {folder}")
 
 
-def _axes(values: np.ndarray) -> list:
-    nd = values.ndim
-    return [nd - 3, nd - 2, nd - 1]
+# A transform makes scipy's passes in scipy's order, each one transform call
+# on strided views of the lines it takes, with no copy of them. The inverse
+# scales once by 1/n^dim at the end: a scaling per pass rounds differently
+# unless n is a power of two. The full transforms take every line. The
+# banded ones take only the lines that hold in-band values and set the
+# others to zero: along a full axis the 2/3 mask keeps the indices 0..n//3
+# and n-n//3..n-1 (the two ``keep`` slices), along the halved last axis
+# 0..n//3 (``last``).
 
-
-def to_spectral(grid: Grid, values: np.ndarray, *, band: bool = False) -> np.ndarray:
-    """rfftn over the trailing ``dim`` axes; leading axes are components.
-    With ``band=True`` it returns the dealiased spectrum: exactly zero off
-    the 2/3 mask and, in band, the bits of the full transform."""
-    if band:
-        return _to_spectral_band(grid, values)
-    if grid.dim == 2:
-        # scipy's pass order: r2c on the last axis, then c2c on axis -2
-        hat = np.fft.rfft(values)
-        return np.fft.fft(hat, axis=-2, out=hat)
-    # the call scipy.fft.rfftn makes
-    return _pocketfft().r2c(values, axes=_axes(values), forward=True, inorm=0,
-                            nthreads=_WORKERS)
-
-
-def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
-                band: bool = False) -> np.ndarray:
-    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
-    transform uses ``hat`` as work space; pass it only for a temporary that
-    is not read again. ``band=True`` promises that ``hat`` is zero off the
-    2/3 mask, so the passes skip the lines the mask zeroes; the result is
-    the full inverse's."""
-    if band:
-        return _to_physical_band(grid, hat, overwrite)
-    # scipy's order: unscaled c2c over the leading transform axes, unscaled
-    # c2r on the last axis, then one scaling by 1/n^dim (a scaling per pass
-    # rounds differently unless n is a power of two)
-    if grid.dim == 2:
-        work = np.fft.ifft(hat, axis=-2, norm="forward", out=hat if overwrite else None)
-        out = np.fft.irfft(work, n=grid.n, norm="forward")
-        out *= 1.0 / (grid.n * grid.n)
-        return out
-    kernel, axes = _pocketfft(), _axes(hat)
-    if not overwrite:
-        # the call scipy.fft.irfftn makes: its c2r copies hat to a work array
-        return kernel.c2r(hat, axes=axes, lastsize=grid.n, forward=False,
-                          inorm=2, nthreads=_WORKERS)
-    # the same passes, the first in hat itself
-    kernel.c2c(hat, axes=axes[:2], forward=False, inorm=0, nthreads=_WORKERS, out=hat)
-    out = kernel.c2r(hat, axes=axes[2:], lastsize=grid.n, forward=False, inorm=0,
-                     nthreads=_WORKERS)
-    out *= 1.0 / grid.n**3
-    return out
-
-
-# The banded transforms make the full transforms' passes, in their order, on
-# the lines that hold in-band values only: each pass is one transform call on
-# strided views of those lines, with no copy of them. Along a full axis the
-# 2/3 mask keeps the indices 0..n//3 and n-n//3..n-1 (``_band``'s two
-# ``keep`` slices), along the halved last axis 0..n//3 (``last``).
-
-def _band(grid: Grid) -> tuple:
-    """(keep, drop, last, last_drop): the in-band and off-band slices of a
-    full axis and of the halved last axis."""
+def _lines(grid: Grid, band: bool) -> tuple:
+    """(keep, drop, last, last_drop): the slices of a full axis and of the
+    halved last axis whose lines the passes take, and the slices they set
+    to zero. With ``band=False`` every line is kept and none is dropped."""
+    if not band:
+        return (slice(None),), slice(0, 0), slice(None), slice(0, 0)
     n, c = grid.n, grid.n // 3
     return ((slice(0, c + 1), slice(n - c, n)), slice(c + 1, n - c),
             slice(0, c + 1), slice(c + 1, None))
@@ -151,8 +111,8 @@ def _band(grid: Grid) -> tuple:
 def band_index(grid: Grid) -> tuple:
     """Index of the in-band coefficients of a spectrum: ``hat[band_index(grid)]``
     has the trailing shape (2c+1, [2c+1,] c+1), c = n//3, each full axis in the
-    order of ``_band``'s ``keep`` slices. Assigning through it writes them back."""
-    keep, _, last, _ = _band(grid)
+    order of the banded ``keep`` slices. Assigning through it writes them back."""
+    keep, _, last, _ = _lines(grid, True)
     full = np.concatenate([np.arange(grid.n)[rows] for rows in keep])
     full.setflags(write=False)
     return (Ellipsis, *np.ix_(*[full] * (grid.dim - 1)), last)
@@ -163,11 +123,14 @@ def pack(grid: Grid, hat: np.ndarray) -> np.ndarray:
     return hat[band_index(grid)]
 
 
-def _to_spectral_band(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """The forward passes: the last axis on every line, then axis -3 (3D)
-    on in-band last-axis indices, then axis -2 on lines in band along both
-    other axes; the off-band entries are then set to zero."""
-    keep, drop, last, last_drop = _band(grid)
+def to_spectral(grid: Grid, values: np.ndarray, *, band: bool = False) -> np.ndarray:
+    """rfftn over the trailing ``dim`` axes; leading axes are components.
+    With ``band=True`` it returns the dealiased spectrum: exactly zero off
+    the 2/3 mask and, in band, the bits of the full transform.
+
+    The passes: the last axis on every line, then axis -3 (3D) on the kept
+    last-axis indices, then axis -2 on the lines kept along both other axes."""
+    keep, drop, last, last_drop = _lines(grid, band)
     if grid.dim == 2:
         hat = np.fft.rfft(values)
         lines = hat[..., last]
@@ -188,13 +151,19 @@ def _to_spectral_band(grid: Grid, values: np.ndarray) -> np.ndarray:
     return hat
 
 
-def _to_physical_band(grid: Grid, hat: np.ndarray, overwrite: bool) -> np.ndarray:
-    """The inverse passes of a spectrum that is zero off the mask: axis -3
-    (3D) on lines in band along both other axes, then axis -2 on in-band
-    last-axis indices, then the last axis on every line. The work array is
-    ``hat`` itself with ``overwrite``, else a new one whose off-band entries
-    are set to zero."""
-    keep, drop, last, last_drop = _band(grid)
+def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
+                band: bool = False) -> np.ndarray:
+    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
+    transform uses ``hat`` as work space; pass it only for a temporary that
+    is not read again. ``band=True`` promises that ``hat`` is zero off the
+    2/3 mask, so the passes skip the lines the mask zeroes; the result is
+    the full inverse's.
+
+    The passes: axis -3 (3D) on the lines kept along both other axes, then
+    axis -2 on the kept last-axis indices, then the last axis on every line.
+    The work array is ``hat`` itself with ``overwrite``, else a new one whose
+    dropped entries are set to zero."""
+    keep, drop, last, last_drop = _lines(grid, band)
     if overwrite:
         work = hat
     else:

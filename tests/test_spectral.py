@@ -286,7 +286,7 @@ class TestParseval:
 
 
 # Run in a fresh process, so that the kernel and scipy.fft load in the order
-# named by SCIPY_FFT_FIRST. Prints the (n, comps) cases whose bits differ.
+# named by SCIPY_FFT_FIRST. Prints the (n, stack) cases whose bits differ.
 _3D_BITS_SCRIPT = """
 import json, sys
 import numpy as np
@@ -296,17 +296,17 @@ if SCIPY_FFT_FIRST:
 from elflow.grid import Grid
 from elflow.spectral import to_physical, to_spectral
 cases = []
-for n in (8, 16, 32):
+for n in (8, 16, 32, 48):
     g = Grid(3, n, 2.0 * np.pi)
-    for comps in (1, 3, 9):
-        rng = np.random.default_rng(n + comps)
-        values = rng.standard_normal(g.shape if comps == 1 else (comps, *g.shape))
+    for stack in [(), (3,), (9,), (3, 3)]:
+        rng = np.random.default_rng(n + len(stack) + sum(stack))
+        values = rng.standard_normal((*stack, *g.shape))
         hat = to_spectral(g, values)
-        cases.append((n, comps, values, hat, to_physical(g, hat)))
+        cases.append((n, stack, values, hat, to_physical(g, hat)))
 assert ("scipy.fft" in sys.modules) == SCIPY_FFT_FIRST
 assert "scipy.special" not in sys.modules or SCIPY_FFT_FIRST
 import scipy.fft
-differ = [[n, comps] for n, comps, values, hat, back in cases
+differ = [[n, stack] for n, stack, values, hat, back in cases
           if not (np.array_equal(hat, scipy.fft.rfftn(values, axes=(-3, -2, -1)))
                   and np.array_equal(back, scipy.fft.irfftn(hat, s=(n,) * 3,
                                                             axes=(-3, -2, -1))))]
@@ -334,8 +334,9 @@ class TestTransformBackends:
     @pytest.mark.parametrize("scipy_fft_first", [False, True],
                              ids=["kernel-first", "scipy-fft-first"])
     def test_3d_matches_scipy_bit_for_bit(self, scipy_fft_first):
-        """1, 3 and 9 components at n = 8, 16 and 32, with the kernel loaded
-        before scipy.fft is imported and after."""
+        """1, 3, 9 and 3x3 components at n = 8, 16, 32 and 48, with the
+        kernel loaded before scipy.fft is imported and after. n = 48 is not a
+        power of two: a wrong scaling would round differently there."""
         src = str(Path(elflow.__file__).resolve().parents[1])
         script = _3D_BITS_SCRIPT.format(scipy_fft_first=scipy_fft_first)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
