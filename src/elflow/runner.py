@@ -172,7 +172,7 @@ def _run(result: RunResult, states, sample, snapdir: Path | None = None,
 # states, which fills that result as it is advanced. A run holds u0 only in its
 # initial state, so a caller that drops its own reference to u0 releases it at
 # the first step (EL states start from a copy). Callers hand u0 over with
-# ``box.pop()``: CPython 3.11+ moves call arguments into the callee's frame, so
+# ``box.pop()``: CPython moves call arguments into the callee's frame, so
 # the callee then holds the only reference.
 
 def _classical(cfg: RunConfig, u0: Field):

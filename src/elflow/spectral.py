@@ -8,12 +8,12 @@ fields are the caller's responsibility to dealias.
 The solvers' transforms go through ``to_spectral``/``to_physical``; only
 the test-only ``resample`` calls numpy's complex ``fftn``. Both functions
 make the passes of ``scipy.fft.rfftn``/``irfftn``, in its order, one axis
-at a time, and give its bits: 2D grids on numpy's FFT, 3D grids on scipy's
-compiled pocketfft kernel, loaded from its file on the first 3D transform.
-elflow never imports ``scipy.fft``, whose import also pulls in
-``scipy.special``. ``to_physical(..., overwrite=True)`` makes the inverse's
-passes in the spectrum it is given, so a temporary spectrum is inverted
-without a work array of its own.
+at a time, on scipy's compiled pocketfft kernel, and give its bits in 2D
+and 3D. The kernel is loaded from its file on the first transform: elflow
+never imports ``scipy.fft``, whose import also pulls in ``scipy.special``.
+``to_physical(..., overwrite=True)`` makes the inverse's passes in the
+spectrum it is given, so a temporary spectrum is inverted without a work
+array of its own.
 
 The full and the banded transforms are the same passes: the full ones take
 every line, and with ``band=True`` they skip the lines that hold only
@@ -51,16 +51,8 @@ __all__ = [
     "resample", "hessian", "second_derivs",
 ]
 
-# Worker count of the 3D transforms (scipy's pocketfft kernel). Time per
-# scalar of numpy's transforms over scipy's, 2-core Intel Xeon host
-# (Python 3.11, numpy 2.4.6, scipy 1.17.1), 1 to 9 stacked components:
-#   2D n=64-256:  0.86-1.14, forward at n=128 with 4+ components 1.29-1.38;
-#                 EL step on euler-cotangent-2d 0.98
-#   3D n=32:      1.12-1.14 forward, 1.16-1.19 inverse; n=16: 1.31-1.45;
-#                 EL step 1.13 (compare-3d), 1.12 (bounds-3d)
-# so 2D takes numpy's and 3D keeps scipy's kernel. A second worker gave no
-# gain at desk scale: scipy irfftn per scalar, 1 worker against 2, 0.41
-# against 0.46 ms at 32^3 and 1.44 against 1.51 ms at 48^3.
+# The kernel runs on one thread, its default: a second worker gave no gain at
+# desk scale. No call passes this value; the benchmark's host record prints it.
 _WORKERS = 1
 
 
@@ -68,11 +60,11 @@ _WORKERS = 1
 def _pocketfft():
     """scipy's compiled ``pypocketfft``, loaded from its file without
     importing ``scipy.fft``. That import also loads ``scipy.special`` and
-    costs about 26 MiB of RSS and 0.35 s on the host above; the kernel is
-    all a 3D transform uses, and it gives ``scipy.fft``'s bits."""
+    costs about 26 MiB of RSS and 0.35 s (2-core Xeon); the kernel is all
+    a transform uses, and it gives ``scipy.fft``'s bits."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
-        raise ImportError("3D transforms need scipy, which is not installed")
+        raise ImportError("the transforms need scipy, which is not installed")
     folder = Path(scipy.origin).parent / "fft" / "_pocketfft"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"pypocketfft{suffix}"
@@ -83,7 +75,7 @@ def _pocketfft():
             spec.loader.exec_module(kernel)
             return kernel
     from importlib.metadata import version
-    raise ImportError(f"3D transforms need scipy's compiled pocketfft: scipy "
+    raise ImportError(f"the transforms need scipy's compiled pocketfft: scipy "
                       f"{version('scipy')} has no pypocketfft extension in {folder}")
 
 
@@ -128,23 +120,18 @@ def to_spectral(grid: Grid, values: np.ndarray, *, band: bool = False) -> np.nda
     With ``band=True`` it returns the dealiased spectrum: exactly zero off
     the 2/3 mask and, in band, the bits of the full transform.
 
-    The passes: the last axis on every line, then axis -3 (3D) on the kept
-    last-axis indices, then axis -2 on the lines kept along both other axes."""
+    The passes: the last axis on every line, then the first grid axis on the
+    kept last-axis indices, then (3D) axis -2 on the lines kept along both
+    other axes."""
     keep, drop, last, last_drop = _lines(grid, band)
-    if grid.dim == 2:
-        hat = np.fft.rfft(values)
-        lines = hat[..., last]
-        np.fft.fft(lines, axis=-2, out=lines)
-    else:
-        kernel, nd = _pocketfft(), values.ndim
-        hat = kernel.r2c(values, axes=[nd - 1], forward=True, inorm=0, nthreads=_WORKERS)
-        lines = hat[..., last]
-        kernel.c2c(lines, axes=[nd - 3], forward=True, inorm=0, nthreads=_WORKERS,
-                   out=lines)
+    kernel, nd = _pocketfft(), values.ndim
+    hat = kernel.r2c(values, axes=[nd - 1], forward=True, inorm=0)
+    lines = hat[..., last]
+    kernel.c2c(lines, axes=[nd - grid.dim], forward=True, inorm=0, out=lines)
+    if grid.dim == 3:
         for rows in keep:
             lines = hat[..., rows, :, last]
-            kernel.c2c(lines, axes=[nd - 2], forward=True, inorm=0, nthreads=_WORKERS,
-                       out=lines)
+            kernel.c2c(lines, axes=[nd - 2], forward=True, inorm=0, out=lines)
         hat[..., drop, :, :] = 0.0
     hat[..., drop, :] = 0.0
     hat[..., last_drop] = 0.0
@@ -164,26 +151,22 @@ def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
     The work array is ``hat`` itself with ``overwrite``, else a new one whose
     dropped entries are set to zero."""
     keep, drop, last, last_drop = _lines(grid, band)
+    kernel, nd = _pocketfft(), hat.ndim
     if overwrite:
         work = hat
     else:
         work = np.empty_like(hat)
         work[..., last_drop] = 0.0
-    if grid.dim == 2:
-        np.fft.ifft(hat[..., last], axis=-2, norm="forward", out=work[..., last])
-        out = np.fft.irfft(work, n=grid.n, norm="forward")
-    else:
-        kernel, nd = _pocketfft(), hat.ndim
+    lines = hat[..., last]
+    if grid.dim == 3:
         if not overwrite:
             work[..., drop, last] = 0.0
         for cols in keep:
             kernel.c2c(hat[..., cols, last], axes=[nd - 3], forward=False, inorm=0,
-                       nthreads=_WORKERS, out=work[..., cols, last])
+                       out=work[..., cols, last])
         lines = work[..., last]
-        kernel.c2c(lines, axes=[nd - 2], forward=False, inorm=0, nthreads=_WORKERS,
-                   out=lines)
-        out = kernel.c2r(work, axes=[nd - 1], lastsize=grid.n, forward=False, inorm=0,
-                         nthreads=_WORKERS)
+    kernel.c2c(lines, axes=[nd - 2], forward=False, inorm=0, out=work[..., last])
+    out = kernel.c2r(work, axes=[nd - 1], lastsize=grid.n, forward=False, inorm=0)
     out *= 1.0 / grid.n**grid.dim
     return out
 

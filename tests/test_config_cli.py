@@ -189,8 +189,6 @@ class TestCompareRuns:
         rows = len((out / "timeseries.csv").read_text().splitlines()) - 1
         assert (calls["record_classical"], calls["record_el"]) == (0, rows)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="call arguments stay on the caller's stack before CPython 3.11")
     @pytest.mark.parametrize("kind", ["classical", "cotangent", "gauge"])
     def test_u0_is_released_at_the_first_step(self, kind, tmp_path, monkeypatch):
         """A compare reads u0 for its step plan, its RMS reference and the
@@ -351,11 +349,11 @@ class TestCLI:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_no_run_imports_scipy_fft_and_3d_loads_the_kernel(self, dim, tmp_path):
-        """2D transforms run on numpy.fft and 3D ones on scipy's compiled
-        pocketfft kernel, loaded from its file, so a fresh process of either
-        dim ends with no scipy module (scipy.fft, scipy.special) in
-        sys.modules; only a 3D one loads the kernel."""
+    def test_no_run_imports_scipy_fft_and_every_run_loads_the_kernel(self, dim, tmp_path):
+        """Transforms of both dims run on scipy's compiled pocketfft kernel,
+        loaded from its file, so a fresh process of either dim loads the
+        kernel and ends with no scipy module (scipy.fft, scipy.special) in
+        sys.modules."""
         cfg_path = tmp_path / "cfg.json"
         cfg = tiny_config(mode="el", grid=GridConfig(dim=dim, n=16))
         cfg_path.write_text(json.dumps(cfg.to_dict()))
@@ -369,7 +367,7 @@ class TestCLI:
         src = str(Path(el.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert proc.stdout.splitlines()[-1] == f"0 [] {dim == 3}"
+        assert proc.stdout.splitlines()[-1] == "0 [] True"
 
     def test_bounds_report_passes_on_tiny_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

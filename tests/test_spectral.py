@@ -287,18 +287,21 @@ class TestParseval:
 
 # Run in a fresh process, so that the kernel and scipy.fft load in the order
 # named by SCIPY_FFT_FIRST. Prints the (n, stack) cases whose bits differ.
-_3D_BITS_SCRIPT = """
+_BITS_SCRIPT = """
 import json, sys
 import numpy as np
-SCIPY_FFT_FIRST = {scipy_fft_first}
+DIM, SCIPY_FFT_FIRST = {dim}, {scipy_fft_first}
 if SCIPY_FFT_FIRST:
     import scipy.fft
 from elflow.grid import Grid
 from elflow.spectral import to_physical, to_spectral
+ns, stacks = {{2: ((8, 48, 64, 128), [(), (2,), (4,), (9,)]),
+              3: ((8, 16, 32, 48), [(), (3,), (9,), (3, 3)])}}[DIM]
+axes = tuple(range(-DIM, 0))
 cases = []
-for n in (8, 16, 32, 48):
-    g = Grid(3, n, 2.0 * np.pi)
-    for stack in [(), (3,), (9,), (3, 3)]:
+for n in ns:
+    g = Grid(DIM, n, 2.0 * np.pi)
+    for stack in stacks:
         rng = np.random.default_rng(n + len(stack) + sum(stack))
         values = rng.standard_normal((*stack, *g.shape))
         hat = to_spectral(g, values)
@@ -307,16 +310,16 @@ assert ("scipy.fft" in sys.modules) == SCIPY_FFT_FIRST
 assert "scipy.special" not in sys.modules or SCIPY_FFT_FIRST
 import scipy.fft
 differ = [[n, stack] for n, stack, values, hat, back in cases
-          if not (np.array_equal(hat, scipy.fft.rfftn(values, axes=(-3, -2, -1)))
-                  and np.array_equal(back, scipy.fft.irfftn(hat, s=(n,) * 3,
-                                                            axes=(-3, -2, -1))))]
+          if not (np.array_equal(hat, scipy.fft.rfftn(values, axes=axes))
+                  and np.array_equal(back, scipy.fft.irfftn(hat, s=(n,) * DIM, axes=axes)))]
 print(json.dumps(differ))
 """
 
 
 class TestTransformBackends:
-    """2D transforms run on numpy.fft, 3D on scipy's compiled pocketfft
-    kernel; scipy.fft's rfftn and irfftn are the reference bits for both."""
+    """Transforms of both dims run on scipy's compiled pocketfft kernel,
+    loaded from its file; scipy.fft's rfftn and irfftn are the reference
+    bits."""
 
     # n = 48 is not a power of two: two scalings by 1/n would round there
     @pytest.mark.parametrize("n", [8, 48, 64, 128])
@@ -333,12 +336,14 @@ class TestTransformBackends:
 
     @pytest.mark.parametrize("scipy_fft_first", [False, True],
                              ids=["kernel-first", "scipy-fft-first"])
-    def test_3d_matches_scipy_bit_for_bit(self, scipy_fft_first):
-        """1, 3, 9 and 3x3 components at n = 8, 16, 32 and 48, with the
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fresh_process_matches_scipy_bit_for_bit(self, dim, scipy_fft_first):
+        """2D: n = 8, 48, 64 and 128 with no, 2, 4 and 9 components; 3D:
+        n = 8, 16, 32 and 48 with no, 3, 9 and 3x3 components; each with the
         kernel loaded before scipy.fft is imported and after. n = 48 is not a
         power of two: a wrong scaling would round differently there."""
         src = str(Path(elflow.__file__).resolve().parents[1])
-        script = _3D_BITS_SCRIPT.format(scipy_fft_first=scipy_fft_first)
+        script = _BITS_SCRIPT.format(dim=dim, scipy_fft_first=scipy_fft_first)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert json.loads(proc.stdout.splitlines()[-1]) == []
