@@ -42,24 +42,43 @@ FORCE = ForcingSpec("single_mode", amplitude=0.5)
 NU = 0.05
 
 
+def _grow_interned_strings() -> None:
+    """Make CPython's table of interned strings grow now, before a traced
+    call, so that its growth is not counted as the call's.
+
+    The table holds every identifier, and ``pathlib`` adds every path part
+    to it. A part that is freed leaves a dead slot, and the table grows
+    once the slots run out, on whichever call crosses that limit: at 3D
+    n=16 its growth to 2**17 slots (1.92 MB) reads as 59 fields, none of
+    them the call's. Interning fresh strings, each freed at once, until the
+    table grows leaves it room for at least as many strings as it holds,
+    far more than one call interns.
+    """
+    tracemalloc.start()
+    try:
+        for i in range(1 << 20):
+            before = tracemalloc.get_traced_memory()[0]
+            sys.intern(f"grow-{i}")
+            # a growth allocates the new table, 1.92 MB here; a string ~60 B
+            if tracemalloc.get_traced_memory()[0] - before > 1 << 16:
+                return
+    finally:
+        tracemalloc.stop()
+
+
 def peak_fields(fn, grid: Grid = GRID) -> float:
     """Traced peak of one call of ``fn``, after an untraced warm-up call that
-    fills the cached wavenumber tables: the lower of two traced calls. Once
-    in a while a call also grows CPython's interned-string table, which
-    ``pathlib`` adds every path part to, and which holds every identifier;
-    at 3D n=16 that one growth (to 2**17 slots, 1.92 MB) reads as 59 fields,
-    none of them the call's, and it falls on whichever call crosses the
-    table's fill limit."""
+    fills the cached wavenumber tables, and after the interned-string table
+    is made to grow."""
     fn()
-    peaks = []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            fn()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return min(peaks) / (8 * grid.n**grid.dim)
+    _grow_interned_strings()
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * grid.n**grid.dim)
 
 
 def _calls(outdir, grid: Grid = GRID):
