@@ -110,7 +110,6 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
         f = forcing.field(grid)
         g = Field(grid, _label(derived.Q.data, f.data))
         g_norms = {m: lp_norm(g, 2 * m) for m in m_list}
-    hel = helicity(derived.w, derived.u) if grid.dim == 3 else None
     return TimeSeriesRecord(
         t=state.t,
         energy=0.5 * l2_norm(derived.u) ** 2 / volume,
@@ -126,7 +125,7 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
         c_l3=float(np.mean(c_mag**3) * volume),
         v_norms=v_norms,
         g_norms=g_norms,
-        helicity=hel,
+        helicity=helicity(derived.w, derived.u),
         det_min=float(np.min(derived.det.data)),
         det_max=float(np.max(derived.det.data)),
         reset_count=state.reset_count,
@@ -403,12 +402,14 @@ def epsilon_bound(records, nu: float, grid: Grid,
         exponent = coeff * eps_sq_int[idx]
         # The exponential is typically astronomically lax; track the ratio in
         # log space so resolution comparisons stay meaningful.
-        log_rhs = math.log(bt / nu**2) + exponent if nu > 0 else math.inf
+        # B(t) = 0 only for a flow at rest without forcing
+        log_b = math.log(bt / nu**2) if bt > 0 else -math.inf
+        log_rhs = log_b + exponent if nu > 0 else math.inf
         rhs = math.exp(min(log_rhs, 700.0)) if nu > 0 else math.inf
         lhs = records[idx].lap_ell_l2
         log_ratio = math.log(lhs) - log_rhs if lhs > 0 else -math.inf
-        series.append({"t": tt, "lhs": lhs, "rhs": rhs,
-                       "ratio": lhs / rhs if rhs > 0 else math.inf,
+        ratio = 0.0 if lhs == 0 else lhs / rhs if rhs > 0 else math.inf
+        series.append({"t": tt, "lhs": lhs, "rhs": rhs, "ratio": ratio,
                        "log_ratio": log_ratio,
                        "exponent": exponent})
     return EpsilonBoundReport(

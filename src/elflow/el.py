@@ -151,24 +151,12 @@ def _check_det(det: np.ndarray, floor: float) -> None:
 def _label(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Q[i, j] x_j pointwise: the label derivative (Q[i, j] d_j g) when
     x = grad g; ``_cotangent`` applies it to grad ell in place of Q."""
-    out = np.empty_like(x)
-    for i in range(len(q)):
-        _advection(q[i], x, out=out[i])
-    return out
+    return np.einsum("ij...,j...->i...", q, x)
 
 
-def _advection(u: np.ndarray, grad_x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """u_k d_k x from grad_x[k, ...] = d_k x, for a scalar or a vector x.
-
-    Summed from zero in the order k = 0, 1, ..., so the result, signed
-    zeros included, is bit for bit that of einsum("k...,k...->...")."""
-    if out is None:
-        out = np.zeros(np.broadcast_shapes(u.shape[1:], grad_x.shape[1:]))
-    else:
-        out.fill(0.0)
-    for k in range(len(u)):
-        out += u[k] * grad_x[k]
-    return out
+def _advection(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
+    """u_k d_k x from grad_x[k, ...] = d_k x, for a scalar or a vector x."""
+    return np.einsum("k...,k...->...", u, grad_x)
 
 
 def _advection_hat(grid: Grid, u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
@@ -206,7 +194,9 @@ def _commutator_source(grid: Grid, q: np.ndarray, lhat: np.ndarray,
 
 def _cotangent(gl: np.ndarray, v: np.ndarray) -> np.ndarray:
     """w_i = (d_i A^m) v_m = v_i + (d_i ell_m) v_m."""
-    return v + _label(gl, v)
+    w = _label(gl, v)
+    w += v
+    return w
 
 
 def _project(w: Field) -> tuple[Field, Field]:
@@ -314,7 +304,7 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
     out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat), overwrite=True,
                                               band=True))
     out += quadratic_pressure_hat(grid, u)
-    out -= to_spectral(grid, 0.5 * np.sum(u * u, axis=0), band=True)
+    out -= to_spectral(grid, 0.5 * np.einsum("k...,k...->...", u, u), band=True)
     out[_zero_mode(grid)] = 0.0  # the free constant fixes a zero spatial mean
     return out
 

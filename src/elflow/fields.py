@@ -57,15 +57,9 @@ def zeros(grid: Grid, rank: int) -> Field:
 
 
 def magnitude(field: Field) -> np.ndarray:
-    """Pointwise Euclidean/Frobenius magnitude as a plain array.
-
-    The squares are added one component at a time, without a temporary of
-    the field's size; for C-ordered data this is the order, and so the
-    bits, of a sum over the component axes."""
-    components = np.ndindex(field.data.shape[:field.rank])
-    total = np.square(field.data[next(components)])
-    for index in components:
-        total += np.square(field.data[index])
+    """Pointwise Euclidean/Frobenius magnitude as a plain array."""
+    flat = field.data.reshape(-1, *field.grid.shape)
+    total = np.einsum("c...,c...->...", flat, flat)
     return np.sqrt(total, out=total)
 
 

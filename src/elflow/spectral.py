@@ -5,11 +5,10 @@ Riesz-transform pressure and 2/3-rule dealiasing. All operations are pure
 functions of their inputs and exact for band-limited data; products of
 fields are the caller's responsibility to dealias.
 
-The solvers' transforms go through ``to_spectral``/``to_physical``; only
-the test-only ``resample`` calls numpy's complex ``fftn``. Both functions
-make the passes of ``scipy.fft.rfftn``/``irfftn``, in its order, one axis
-at a time, on scipy's compiled pocketfft kernel, and give its bits in 2D
-and 3D. The kernel is loaded from its file on the first transform: elflow
+Every transform goes through ``to_spectral``/``to_physical``. Both make
+the passes of ``scipy.fft.rfftn``/``irfftn``, in its order, one axis at a
+time, on scipy's compiled pocketfft kernel, and give its bits in 2D and
+3D. The kernel is loaded from its file on the first transform: elflow
 never imports ``scipy.fft``, whose import also pulls in ``scipy.special``.
 ``to_physical(..., overwrite=True)`` makes the inverse's passes in the
 spectrum it is given, so a temporary spectrum is inverted without a work
@@ -339,21 +338,19 @@ def hessian(s: Field) -> Field:
 def resample(field: Field, n_new: int) -> Field:
     """Re-sample a field on a grid with ``n_new`` points per axis.
 
-    Spectral zero-padding (or truncation), exact for band-limited fields.
+    Spectral zero-padding (or truncation) of the modes with every
+    |index| < min(n, n_new)/2, exact for band-limited fields.
     """
     grid = field.grid
     fine = Grid(grid.dim, n_new, grid.length)
-    data = field.data
-    axes = tuple(range(-grid.dim, 0))
-    hat = np.fft.fftn(data, axes=axes)
+    hat = to_spectral(grid, field.data)
     half = min(grid.n, n_new) // 2
-    src = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(int)
-    dst = np.fft.fftfreq(n_new, 1.0 / n_new).astype(int)
-    take = np.where(np.abs(src) < half)[0]
-    put = np.where(np.abs(dst) < half)[0]
-    new_hat = np.zeros(data.shape[: data.ndim - grid.dim] + fine.shape, dtype=complex)
-    idx_take = np.ix_(*([take] * grid.dim))
-    idx_put = np.ix_(*([put] * grid.dim))
+    take = np.r_[0:half, grid.n - half + 1:grid.n]
+    put = np.r_[0:half, n_new - half + 1:n_new]
+    new_hat = np.zeros(hat.shape[: hat.ndim - grid.dim] + fine.shape[:-1]
+                       + (n_new // 2 + 1,), dtype=complex)
+    idx_take = np.ix_(*[take] * (grid.dim - 1), np.arange(half))
+    idx_put = np.ix_(*[put] * (grid.dim - 1), np.arange(half))
     new_hat[(Ellipsis, *idx_put)] = hat[(Ellipsis, *idx_take)]
     new_hat *= (n_new / grid.n) ** grid.dim
-    return Field(fine, np.fft.ifftn(new_hat, axes=axes).real)
+    return Field(fine, to_physical(fine, new_hat, overwrite=True))

@@ -379,6 +379,24 @@ class TestCLI:
         assert rep["k_bounds"]["checks"]
         assert rep["dispersion"]["pass"] is True
 
+    def test_bounds_report_on_a_flow_at_rest(self, tmp_path):
+        # B(t) = 0 without energy or forcing: log B is -inf and lhs = 0
+        cfg = tiny_config(mode="el", nu=0.05, t_end=0.05, dt=5e-3,
+                          initial=InitialConfig(kind="taylor_green", amplitude=0.0),
+                          reset=ResetConfig(enabled=False))
+        assert cfg.forcing.is_zero
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "o"
+        assert main(["bounds-report", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        assert (out / "manifest.json").is_file()
+        series = json.loads((out / "report_bounds.json").read_text())["epsilon"]["series"]
+        assert series
+        for entry in series:
+            assert entry["lhs"] == entry["ratio"] == 0.0
+            assert entry["log_ratio"] == -math.inf
+
     def test_report_entries_carry_the_documented_keys(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_bounds_config().to_dict()))

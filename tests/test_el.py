@@ -18,7 +18,7 @@ from elflow.el import (
     _stage_terms,
 )
 from elflow.errors import CFLViolationError, NearSingularJacobianError
-from elflow.fields import Field, l2_norm, sup_norm, zeros
+from elflow.fields import Field, l2_norm, magnitude, sup_norm, zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid, tables
 from elflow.identities import random_displacement
@@ -181,25 +181,47 @@ class TestStreamedCommutator:
                 <= 1e-13 * np.max(np.abs(source_ref)))
 
 
+def explicit_sum(a, b):
+    """sum_k a[k] * b[k] pointwise, summed from zero in the order k = 0, 1, ..."""
+    out = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for k in range(len(a)):
+        out += a[k] * b[k]
+    return out
+
+
 class TestPointwiseSums:
-    """The explicit sums of ``_label`` and ``_advection`` against the einsum
-    spellings they replace: the same bits, signed zeros included."""
+    """The contractions of the EL algebra against explicit sums from zero:
+    the same bits, signed zeros and strided views included."""
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_match_einsum_bit_for_bit(self, dim):
+    def test_match_explicit_sum_bit_for_bit(self, dim):
         rng = np.random.default_rng(dim)
+        grid = Grid(dim, 8, TWO_PI)
 
         def draw(*lead):   # exact zeros of both signs among the values
-            shape = lead + (6,) * dim
+            shape = lead + grid.shape
             return (rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)
                     * rng.uniform(0.5, 2.0, size=shape))
 
         q, x, u, gx = draw(dim, dim), draw(dim), draw(dim), draw(dim, dim)
+        c = draw(dim, dim, dim)
         pairs = [
-            (_label(q, x), np.einsum("ij...,j...->i...", q, x)),
-            (_advection(u, x), np.einsum("k...,k...->...", u, x)),
-            (_advection(u, gx), np.einsum("k...,k...->...", u, gx)),
+            (_label(q, x), np.stack([explicit_sum(row, x) for row in q])),
+            (_advection(u, x), explicit_sum(u, x)),
+            (_advection(u, gx), explicit_sum(u, gx)),
+            (np.einsum("k...,k...->...", u, u), explicit_sum(u, u)),
+            (np.einsum("k...,k...->...", u, u), np.sum(u * u, axis=0)),
         ]
+        # strided views, as the identity checks pass them (q[:, j], gA[:, m])
+        for j in range(dim):
+            pairs += [
+                (_label(q, c[:, j]), np.stack([explicit_sum(row, c[:, j]) for row in q])),
+                (_advection(q[:, j], c[:, j]), explicit_sum(q[:, j], c[:, j])),
+                (_advection(u, q[:, j]), explicit_sum(u, q[:, j])),
+            ]
+        for data in (x[0], x, q, c, q.transpose(1, 0, *range(2, 2 + dim)), c[:, 1]):
+            flat = data.reshape(-1, *grid.shape)
+            pairs.append((magnitude(Field(grid, data)), np.sqrt(explicit_sum(flat, flat))))
         for got, ref in pairs:
             assert got.shape == ref.shape
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()

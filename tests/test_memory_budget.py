@@ -27,7 +27,8 @@ import numpy as np
 import pytest
 
 from elflow.config import GridConfig, InitialConfig, RunConfig
-from elflow.el import derive, el_step
+from elflow.el import _advection, _cotangent, _label, derive, el_step
+from elflow.fields import Field, magnitude
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import (
@@ -125,6 +126,30 @@ BUDGETS = {
 def test_peak_within_budget(name, tmp_path):
     peak = peak_fields(_calls(tmp_path)[name])
     assert peak <= BUDGETS[name], f"{name} peaked at {peak:.1f} fields"
+
+
+def _contractions(grid: Grid = GRID):
+    """Each pointwise contraction of the EL algebra and the fields of its
+    output, on inputs made outside the traced call."""
+    rng = np.random.default_rng(0)
+    d = grid.dim
+    u, grad_s = rng.standard_normal((2, d, *grid.shape))
+    q, gv = rng.standard_normal((2, d, d, *grid.shape))
+    c = Field(grid, rng.standard_normal((d, d, d, *grid.shape)))
+    return {
+        "advection_scalar": (lambda: _advection(u, grad_s), 1),
+        "advection_vector": (lambda: _advection(u, gv), d),
+        "label": (lambda: _label(q, u), d),
+        "cotangent": (lambda: _cotangent(gv, u), d),
+        "magnitude": (lambda: magnitude(c), 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_contractions()))
+def test_contraction_allocates_only_its_output(name):
+    fn, output = _contractions()[name]
+    peak = peak_fields(fn)
+    assert peak <= output + 0.1, f"{name} peaked at {peak:.2f} fields for {output}"
 
 
 def test_compare_holds_no_series():

@@ -63,8 +63,9 @@ def _workload(name: str, seed: int = 1, **overrides) -> dict:
     return {"workload": name, "seed": seed, "doc": overrides}
 
 
-# Every solver and command, CFL and mid-run solver failures (exit 2), both
-# ways to fix dt, and the benchmark workloads at seed 1.
+# Every solver and command, a bounds report on a flow at rest, CFL and
+# mid-run solver failures (exit 2), both ways to fix dt, and the benchmark
+# workloads at seed 1.
 CASES = {
     "el": _case("run", _TINY, mode="el"),
     "classical": _case("run", _TINY, mode="classical"),
@@ -86,6 +87,8 @@ CASES = {
     "bounds-report-3d": _case("bounds-report", {**_TINY_3D, **_UNBROKEN},
                               forcing=_SINGLE_MODE),
     "bounds-report-2d": _case("bounds-report", {**_TINY, **_UNBROKEN}),
+    "bounds-report-at-rest": _case("bounds-report", {**_TINY, **_UNBROKEN},
+                                   initial={"kind": "taylor_green", "amplitude": 0.0}),
     "pair-dispersion": _case("pair-dispersion", _TINY, mode="el",
                              reset={"enabled": False}),
     "verify-identities-2d": _case("verify-identities", _TINY,
