@@ -15,7 +15,7 @@ from .fields import Field
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import (
-    grad_hat, leray_hat, to_physical, to_spectral,
+    grad_hat, leray_hat, pack, to_physical, to_spectral,
 )
 from .stepping import ensure_finite, if_rk4_step
 
@@ -51,7 +51,8 @@ def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NS
     force = None if forcing.is_zero else forcing.field(grid)
 
     def rhs(yhat, t):
-        return _nonlinear_hat(grid, yhat, force)
+        out, u = _nonlinear_hat(grid, yhat, force)
+        return pack(grid, out), u
 
     uhat = to_spectral(grid, state.u.data, band=True)
     new_hat = if_rk4_step(grid, uhat, state.t, dt, nu, rhs)

@@ -7,7 +7,6 @@ output of a run is a deterministic function of the configuration, and
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
@@ -127,6 +126,8 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
+        import hashlib   # loads OpenSSL, which no step needs: imported here
+
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     @classmethod

@@ -88,11 +88,11 @@ def record_classical(state: NSState, nu: float) -> TimeSeriesRecord:
     )
 
 
-def record_el(state: ELState, derived: ELDerived, nu: float, *,
-              c_mag: np.ndarray, m_list=(2, 3),
+def record_el(state: ELState, derived: ELDerived, nu: float, *, m_list=(2, 3),
               forcing: ForcingSpec | None = None) -> TimeSeriesRecord:
-    """One time-series row of an EL state; ``c_mag`` is ``magnitude(derived.C)``.
-    Each derivative field is released as soon as its norms are taken."""
+    """One time-series row of an EL state and its ``derive``: ``c_l3`` is
+    taken from ``derived.C_magnitude``. Each derivative field is released as
+    soon as its norms are taken."""
     grid = state.ell.grid
     volume = grid.volume
     dissipation = nu * l2_norm(gradient(derived.u)) ** 2 / volume
@@ -122,7 +122,7 @@ def record_el(state: ELState, derived: ELDerived, nu: float, *,
         lap_ell_l2=lap_ell_l2,
         grad_lap_ell_l2=grad_lap_ell_l2,
         grad_ell_inf=grad_ell_inf,
-        c_l3=float(np.mean(c_mag**3) * volume),
+        c_l3=float(np.mean(derived.C_magnitude.data**3) * volume),
         v_norms=v_norms,
         g_norms=g_norms,
         helicity=helicity(derived.w, derived.u),

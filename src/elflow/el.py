@@ -37,7 +37,7 @@ from .fields import Field, sup_norm, zeros
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import (
-    divergence, grad_hat, gradient, inverse_laplacian, leray_hat,
+    deriv_hat, divergence, grad_hat, gradient, inverse_laplacian, leray_hat, pack,
     quadratic_pressure_hat, second_derivs, to_physical, to_spectral, _zero_mode,
 )
 from .stepping import ensure_finite, if_rk4_step
@@ -64,15 +64,17 @@ class ELState:
 
 @dataclass
 class ELDerived:
-    """Quantities derived pointwise/spectrally from one state (never cached)."""
+    """Quantities derived pointwise/spectrally from one state (never cached).
 
-    grad_A: Field
+    ``C_magnitude`` is |C| pointwise; C itself is never held whole here
+    (``compute_C`` builds it)."""
+
     Q: Field
-    C: Field
     u: Field
     w: Field
     n: Field
     det: Field
+    C_magnitude: Field
 
 
 def initial_state(u0: Field, potential_mode: str = "static") -> ELState:
@@ -84,59 +86,54 @@ def initial_state(u0: Field, potential_mode: str = "static") -> ELState:
 
 # -- the deformation chain -----------------------------------------------------
 #
-# grad ell -> (grad A, Q, det) -> C -> w -> (u, n), each link one function
-# below; every caller composes them. The RK stage alone projects its
-# dealiased w spectrally instead of through ``_project``.
+# grad ell -> (Q, det) -> C -> w -> (u, n), each link one function below;
+# every caller composes them. C comes one row C[m] at a time. The RK stage
+# alone projects its dealiased w spectrally instead of through ``_project``.
 
-def _grad_ell(grid: Grid, lhat: np.ndarray, *, band: bool = False) -> np.ndarray:
-    """gl[i, m] = d_i ell_m from the spectrum of ell; ``band`` is passed to
-    ``to_physical``."""
-    return to_physical(grid, grad_hat(grid, lhat), overwrite=True, band=band)
+def _grad_ell(grid: Grid, lhat: np.ndarray, *, band: bool = False, out=None) -> np.ndarray:
+    """gl[i, m] = d_i ell_m from the spectrum of ell; ``band`` and ``out``
+    are passed to ``to_physical``."""
+    return to_physical(grid, grad_hat(grid, lhat), overwrite=True, band=band, out=out)
 
 
-def _deformation(gl: np.ndarray, det_floor: float):
-    """grad A = I + grad ell, its pointwise inverse Q and det(grad A).
+def _deformation(gl: np.ndarray, det_floor: float, out=None):
+    """The pointwise inverse Q of grad A = I + grad ell and det(grad A): the
+    adjugate over the determinant. The diagonal entries of grad A are formed
+    once and the others are read from ``gl``, which is not copied. Q is
+    written into ``out`` when it is given.
 
     Raises ``NearSingularJacobianError`` where |det| <= det_floor.
     """
-    g = gl.copy()
-    for i in range(len(g)):
-        g[i, i] += 1.0
-    return (g, *_inverse(g, det_floor))
-
-
-def _inverse(g: np.ndarray, det_floor: float):
-    """The pointwise inverse of the matrix field g and its determinant: the
-    adjugate over the determinant. Raises ``NearSingularJacobianError``
-    where |det| <= det_floor."""
-    if len(g) == 2:
-        a, b = g[0, 0], g[0, 1]
-        c, d = g[1, 0], g[1, 1]
+    g = [[gl[i, j] + 1.0 if i == j else gl[i, j] for j in range(len(gl))]
+         for i in range(len(gl))]
+    if len(gl) == 2:
+        (a, b), (c, d) = g
         det = a * d - b * c
         _check_det(det, det_floor)
         inv = 1.0 / det
-        q = np.empty_like(g)
+        q = np.empty_like(gl) if out is None else out
         q[0, 0] = d * inv
         q[0, 1] = -b * inv
         q[1, 0] = -c * inv
         q[1, 1] = a * inv
         return q, det
-    c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
-    c01 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
-    c02 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
-    det = g[0, 0] * c00 + g[0, 1] * c01 + g[0, 2] * c02
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g
+    c00 = g11 * g22 - g12 * g21
+    c01 = g12 * g20 - g10 * g22
+    c02 = g10 * g21 - g11 * g20
+    det = g00 * c00 + g01 * c01 + g02 * c02
     _check_det(det, det_floor)
     inv = 1.0 / det
-    q = np.empty_like(g)
+    q = np.empty_like(gl) if out is None else out
     q[0, 0] = c00 * inv
     q[1, 0] = c01 * inv
     q[2, 0] = c02 * inv
-    q[0, 1] = (g[0, 2] * g[2, 1] - g[0, 1] * g[2, 2]) * inv
-    q[1, 1] = (g[0, 0] * g[2, 2] - g[0, 2] * g[2, 0]) * inv
-    q[2, 1] = (g[0, 1] * g[2, 0] - g[0, 0] * g[2, 1]) * inv
-    q[0, 2] = (g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]) * inv
-    q[1, 2] = (g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]) * inv
-    q[2, 2] = (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) * inv
+    q[0, 1] = (g02 * g21 - g01 * g22) * inv
+    q[1, 1] = (g00 * g22 - g02 * g20) * inv
+    q[2, 1] = (g01 * g20 - g00 * g21) * inv
+    q[0, 2] = (g01 * g12 - g02 * g11) * inv
+    q[1, 2] = (g02 * g10 - g00 * g12) * inv
+    q[2, 2] = (g00 * g11 - g01 * g10) * inv
     return q, det
 
 
@@ -160,21 +157,37 @@ def _advection(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
 
 
 def _advection_hat(grid: Grid, u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
-    """The stage term -dealias(FFT(u.grad x))."""
-    return -to_spectral(grid, _advection(u, grad_x), band=True)
+    """The stage term -dealias(FFT(u.grad x)), negated in place."""
+    hat = to_spectral(grid, _advection(u, grad_x), band=True)
+    return np.negative(hat, out=hat)
+
+
+def _commutator_rows(grid: Grid, q: np.ndarray, lhat: np.ndarray, out=None):
+    """Yield the rows C[m][k, i] = Q[i, j] d_j d_k ell_m, m = 0, ..., dim-1
+    (second derivatives of A equal those of the periodic displacement).
+
+    Row m comes from the second derivatives of ell_m alone, one scalar
+    block at a time, and each entry is summed from zero in ascending j, so
+    a reader of one row at a time never holds C. Row m is ``out[m]``, which
+    must be zero, when ``out`` is given, else a new array dropped once the
+    next row is asked for."""
+    d = grid.dim
+    for m in range(d):
+        row = np.zeros((d, d, *grid.shape)) if out is None else out[m]
+        for k, j, block in second_derivs(grid, lhat[m]):
+            row[k] += q[:, j] * block
+            if j != k:
+                row[j] += q[:, k] * block
+            del block   # not held while the next block is made
+        yield row
+        del row
 
 
 def _commutator(grid: Grid, q: np.ndarray, lhat: np.ndarray) -> np.ndarray:
-    """C[m, k; i] = Q[i, j] d_j d_k ell_m (second derivatives of A equal
-    those of the periodic displacement)."""
-    d = grid.dim
-    c = np.zeros((d, d, d, *grid.shape))
-    for k, j, block in second_derivs(grid, lhat):
-        for m in range(d):
-            c[m, k] += q[:, j] * block[m]
-            if j != k:
-                c[m, j] += q[:, k] * block[m]
-        del block   # not held while the next block is made
+    """The whole C[m, k; i], its rows written in place."""
+    c = np.zeros((grid.dim,) * 3 + grid.shape)
+    for _ in _commutator_rows(grid, q, lhat, out=c):
+        pass
     return c
 
 
@@ -207,8 +220,7 @@ def _project(w: Field) -> tuple[Field, Field]:
 
 def compute_Q(ell: Field, *, det_floor: float = DEFAULT_DET_FLOOR) -> Field:
     """Pointwise inverse of the deformation Jacobian grad A = I + grad ell."""
-    _, q, _ = _deformation(gradient(ell).data, det_floor)
-    return Field(ell.grid, q)
+    return Field(ell.grid, _deformation(gradient(ell).data, det_floor)[0])
 
 
 def compute_C(ell: Field, Q: Field) -> Field:
@@ -238,25 +250,27 @@ def reconstruct_u(ell: Field, v: Field) -> tuple[Field, Field]:
 
 
 def derive(state: ELState) -> ELDerived:
-    """All derived quantities of a state; recomputed from scratch each call."""
+    """All derived quantities of a state; recomputed from scratch each call.
+
+    |C| is a running sum of squares over the rows of C in (m, k, i) order,
+    the order of ``magnitude(compute_C(...))``, whose bits it gives; one
+    row is held at a time."""
     grid = state.ell.grid
     lhat = to_spectral(grid, state.ell.data)
     gl = _grad_ell(grid, lhat)
-    gA, q, det = _deformation(gl, DEFAULT_DET_FLOOR)
+    q, det = _deformation(gl, DEFAULT_DET_FLOOR)
     w = Field(grid, _cotangent(gl, state.v.data))
-    del gl  # not held beside C
-    c = _commutator(grid, q, lhat)
+    del gl  # not held beside a row of C
+    c_mag = np.zeros(grid.shape)
+    for row in _commutator_rows(grid, q, lhat):
+        for entry in row.reshape(-1, *grid.shape):
+            c_mag += entry * entry
+        del row, entry   # not held while the next row is made
+    np.sqrt(c_mag, out=c_mag)
     del lhat
     u, n = _project(w)
-    return ELDerived(
-        grad_A=Field(grid, gA),
-        Q=Field(grid, q),
-        C=Field(grid, c),
-        u=u,
-        w=w,
-        n=n,
-        det=Field(grid, det),
-    )
+    return ELDerived(Q=Field(grid, q), u=u, w=w, n=n, det=Field(grid, det),
+                     C_magnitude=Field(grid, c_mag))
 
 
 def grad_ell_sup(ell: Field) -> float:
@@ -266,16 +280,20 @@ def grad_ell_sup(ell: Field) -> float:
 
 # -- right-hand sides ---------------------------------------------------------
 
-def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
+def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None, ws):
     """Shared stage evaluation: returns (G_ell_hat, G_v_hat, u).
 
     G_* are the non-viscous right-hand sides in spectral space with every
     quadratic product dealiased, so they are zero off the 2/3 mask like
-    ``lhat`` and ``vhat``; u is reconstructed from the dealiased cotangent
-    product.
+    ``lhat`` and ``vhat``, and are returned packed to the band
+    (``spectral.pack``); u is reconstructed from the dealiased cotangent
+    product. ``ws`` is the step's work array of two rank-2 fields: Q, and one
+    slot that holds grad ell and then grad v, whose lifetimes do not overlap.
+    The four stages reuse it, so their largest fields are not allocated
+    afresh at every stage.
     """
-    gl = _grad_ell(grid, lhat, band=True)
-    q = _deformation(gl, DEFAULT_DET_FLOOR)[1]   # det is not held
+    gl = _grad_ell(grid, lhat, band=True, out=ws[0])
+    q = _deformation(gl, DEFAULT_DET_FLOOR, out=ws[1])[0]   # det is not held
     what = to_spectral(grid, _cotangent(gl, to_physical(grid, vhat, band=True)), band=True)
     uhat = leray_hat(grid, what)
     del what
@@ -283,19 +301,22 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None):
 
     g_ell = _advection_hat(grid, u, gl)
     g_ell -= uhat
+    g_ell = pack(grid, g_ell)   # held packed through the v terms
     del gl, uhat   # only q and u are read below
 
-    gv = to_physical(grid, grad_hat(grid, vhat), overwrite=True,
-                     band=True)   # gv[k, m] = d_k v_m
-    g_v = _advection_hat(grid, u, gv)
+    gv = ws[0]
+    for k in range(grid.dim):   # gv[k, m] = d_k v_m, one direction at a time
+        to_physical(grid, deriv_hat(grid, vhat, k), overwrite=True, band=True, out=gv[k])
+    g_v = pack(grid, _advection_hat(grid, u, gv))
     if nu > 0.0:
-        source = to_spectral(grid, _commutator_source(grid, q, lhat, gv), band=True)
+        source = pack(grid, to_spectral(grid, _commutator_source(grid, q, lhat, gv),
+                                        band=True))
         source *= 2.0 * nu
         g_v += source
         del source
     del gv   # the force term needs q alone
     if force is not None:
-        g_v += to_spectral(grid, _label(q, force.data), band=True)
+        g_v += pack(grid, to_spectral(grid, _label(q, force.data), band=True))
     return g_ell, g_v, u
 
 
@@ -329,21 +350,21 @@ def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
         [state.ell.data, state.v.data] + [s.data[None] for s in scalars]), band=True)
 
     passive_rows = range(2 * d + dynamic, len(yhat))
+    ws = np.empty((2, d, d, *grid.shape))   # the stages' work array
 
     def rhs(y, t):
-        g_ell, g_v, u = _stage_terms(grid, nu, y[:d], y[d:2 * d], force)
-        out = np.empty_like(y)
-        out[:d], out[d:2 * d] = g_ell, g_v
-        del g_ell, g_v
+        g_ell, g_v, u = _stage_terms(grid, nu, y[:d], y[d:2 * d], force, ws)
+        rows = [g_ell, g_v]
         if dynamic:
-            out[2 * d] = _potential_rhs_hat(grid, y[2 * d], u)
+            rows.append(pack(grid, _potential_rhs_hat(grid, y[2 * d], u)[None]))
         for row in passive_rows:
             grad = to_physical(grid, grad_hat(grid, y[row]), overwrite=True, band=True)
-            out[row] = _advection_hat(grid, u, grad)
-        return out, u
+            rows.append(pack(grid, _advection_hat(grid, u, grad)[None]))
+        return np.concatenate(rows), u
 
-    ynew = to_physical(grid, if_rk4_step(grid, yhat, state.t, dt, nu, rhs),
-                       overwrite=True, band=True)
+    if_rk4_step(grid, yhat, state.t, dt, nu, rhs)
+    del ws   # not held past the stages
+    ynew = to_physical(grid, yhat, overwrite=True, band=True)
     ensure_finite(ynew[:d], "displacement", state.t + dt)
     ensure_finite(ynew[d:2 * d], "virtual velocity", state.t + dt)
     ell_field = Field(grid, ynew[:d])
@@ -413,7 +434,8 @@ def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
     force = None if forcing.is_zero else forcing.field(grid)
 
     def rhs(yhat, t):
-        return _cotangent_nonlinear_hat(grid, yhat, force)
+        out, u = _cotangent_nonlinear_hat(grid, yhat, force)
+        return pack(grid, out), u
 
     what = to_spectral(grid, state.w.data, band=True)
     new_hat = if_rk4_step(grid, what, state.t, dt, nu, rhs)

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .el import (
-    ELState, compute_C, compute_Q, derive, el_step_with_passive, grad_ell_sup,
+    ELState, compute_C, compute_Q, el_step_with_passive, grad_ell_sup,
     DEFAULT_DET_FLOOR, initial_state, reconstruct_u, _advection, _commutator,
-    _deformation, _inverse, _label,
+    _cotangent, _deformation, _grad_ell, _label, _project,
 )
 from .fields import Field, l2_norm, sup_norm, integral
 from .forcing import ForcingSpec
@@ -107,12 +107,36 @@ def make_test_state(grid: Grid, seed: int, grad_inf: float) -> ELState:
     return state
 
 
+def _to_grad_A(gl: np.ndarray) -> np.ndarray:
+    """grad A = I + grad ell, made in place of ``gl`` with the additions of
+    ``_deformation``'s diagonal."""
+    for i in range(len(gl)):
+        gl[i, i] += 1.0
+    return gl
+
+
+def _commutator_of(state: ELState):
+    """(C, u, grad ell) of ``state``, by ``derive``'s chain from one
+    spectrum of ell but with C whole: the bits of ``derive``'s fields and of
+    ``compute_C``, from ``derive``'s transforms."""
+    grid = state.ell.grid
+    lhat = to_spectral(grid, state.ell.data)
+    gl = _grad_ell(grid, lhat)
+    q = _deformation(gl, DEFAULT_DET_FLOOR)[0]
+    w = Field(grid, _cotangent(gl, state.v.data))
+    c = _commutator(grid, q, lhat)
+    del q, lhat
+    return c, _project(w)[0], gl
+
+
 # -- algebraic identities --------------------------------------------------------
 
 def check_el_derivative_roundtrip(g: Field, ell: Field) -> IdentityReport:
     """Eulerian derivatives recombine from label derivatives:
     d_i g = (d_i A_m)(label grad g)_m."""
-    gA, q, _ = _deformation(gradient(ell).data, CORPUS_DET_FLOOR)
+    gl = gradient(ell).data
+    q = _deformation(gl, CORPUS_DET_FLOOR)[0]
+    gA = _to_grad_A(gl)
     grad_g = gradient(g).data
     lag = _label(q, grad_g)
     rhs = _label(gA, lag)
@@ -171,7 +195,7 @@ def check_braces(ell: Field) -> IdentityReport:
     """(d_i A^m) C[r, q; m] = d_q d_i A^r (the cancellation behind the
     cotangent equation)."""
     grid = ell.grid
-    gA, _, _ = _deformation(gradient(ell).data, CORPUS_DET_FLOOR)
+    gA = _to_grad_A(gradient(ell).data)
     C = compute_C(ell, compute_Q(ell, det_floor=CORPUS_DET_FLOOR)).data
     worst = scale = 0.0
     for k, j, d2 in second_derivs(grid, to_spectral(grid, ell.data)):
@@ -234,9 +258,8 @@ def check_gamma_commutation(state: ELState, g: Field, dt: float, *,
     dt_h = (h2 - h0) / (2.0 * dt)
     del h0, h2
 
-    d1 = derive(s1)
-    c1, u1 = d1.C.data, d1.u
-    del d1, s1  # C and u are all that is read below
+    c1, u1 = _commutator_of(s1)[:2]
+    del s1  # C and u are all that is read below
     # grad h1 is transformed twice so that the 9-field array is never held twice
     gamma_h = dt_h + _advection(u1.data, gradient(h1).data) - nu * laplacian(h1).data
     rhs = 2.0 * nu * np.einsum("mki...,km...->i...", c1, gradient(h1).data)
@@ -257,7 +280,7 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     rank-3 tensors C(t + dt), C(t) and label_i(d_k u_l) at most two are alive
     at once: the terms in C(t) come first, one (m, k) block of ``dim`` fields
     at a time, and label_i(d_k u_l) is built after C(t) is released. Q is
-    not held beside C(t) either: it is inverted again from grad A, with the
+    not held beside C(t) either: it is inverted again from grad ell, with the
     same bits, for label_i(d_k u_l) alone.
     """
     grid = state.ell.grid
@@ -266,10 +289,9 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     # the derived fields of the start state are never held together; the
     # identity checks step through el_step_with_passive, not el_step, which
     # perfbench's tracer counts as a solver step
-    res = derive(el_step_with_passive(state, _NO_FORCING, dt, nu=nu)[0]).C.data
-    d0 = derive(state)
-    c0, u, gA = d0.C.data, d0.u.data, d0.grad_A.data
-    del d0  # C, u and grad A are all that is read below
+    res = _commutator_of(el_step_with_passive(state, _NO_FORCING, dt, nu=nu)[0])[0]
+    c0, u, gl = _commutator_of(state)
+    u = u.data
 
     uhat = to_spectral(grid, u)
     worst = scale = 0.0
@@ -296,9 +318,10 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
             r -= term3
     del c0, u, gu_k
 
-    q = _inverse(gA, DEFAULT_DET_FLOOR)[0]    # derive's Q, bit for bit
-    lag_gu = _commutator(grid, q, uhat)       # [l, k, i] = label_i(d_k u_l)
+    q = _deformation(gl, DEFAULT_DET_FLOOR)[0]   # derive's Q, bit for bit
+    lag_gu = _commutator(grid, q, uhat)          # [l, k, i] = label_i(d_k u_l)
     del q, uhat
+    gA = _to_grad_A(gl)
     for m in range(d):
         for k in range(d):
             term1 = _advection(gA[:, m], lag_gu[:, k])     # (d_l A_m) label_i(d_k u_l)

@@ -16,7 +16,6 @@ are taken. A compare reads its oracle's states for ``u`` and ``w`` alone.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections.abc import Iterator
@@ -37,7 +36,7 @@ from .el import (
     initial_state, reconstruct_u, reset_labels,
 )
 from .errors import ConfigError, ElflowError, BlowUpError
-from .fields import Field, l2_norm, magnitude, sup_norm
+from .fields import Field, l2_norm, sup_norm
 from .identities import run_identity_suite, check_gamma_commutation, \
     check_C_evolution, make_test_state
 from .initial import make_initial, random_scalar
@@ -250,16 +249,13 @@ def run_el(cfg: RunConfig, u0: Field, each_sample=None,
 
 def el_sample(state: ELState, nu: float, *, m_list=(2, 3), forcing=None):
     """One sample of ``run_el``: the diagnostics record of ``state`` and the
-    named fields of its snapshots. The state is derived once and ``|C|``
-    taken once; ``C`` and ``grad A`` are released before the record, which
-    reads ``u``, ``w``, ``Q`` and ``det``."""
+    named fields of its snapshots. The state is derived once, and the record
+    reads ``u``, ``w``, ``Q``, ``det`` and ``|C|`` of that one derivation."""
     d = derive(state)
-    c_mag = magnitude(d.C)
-    d.C = d.grad_A = None
-    record = record_el(state, d, nu, c_mag=c_mag, m_list=m_list, forcing=forcing)
+    record = record_el(state, d, nu, m_list=m_list, forcing=forcing)
     return record, {
         "ell": state.ell, "v": state.v, "u": d.u, "n": d.n, "w": d.w,
-        "det_grad_A": d.det, "C_magnitude": Field(state.ell.grid, c_mag)}
+        "det_grad_A": d.det, "C_magnitude": d.C_magnitude}
 
 
 def gauge_twin_initial(u0: Field) -> Field:
@@ -457,6 +453,8 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _manifest(outdir: Path, cfg: RunConfig) -> None:
+    import hashlib   # loads OpenSSL, which no step needs: imported at the end
+
     files = {}
     for path in sorted(outdir.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
@@ -473,8 +471,10 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
     (partial artifacts emitted), 3 assertion failure in a bound/identity
     suite. An unknown command and configuration errors raise
     ``ConfigError`` for the CLI to map to exit code 1, before any step or
-    output directory. Every command that runs writes ``config.json`` first
-    and ``manifest.json`` last.
+    output directory. ``outdir`` must not exist or be empty, so that the
+    manifest lists this command's files alone: else ``FileExistsError``
+    (exit code 1) is raised before any step. Every command that runs writes
+    ``config.json`` first and ``manifest.json`` last.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
@@ -484,6 +484,8 @@ def execute(cfg: RunConfig, outdir, command: str = "run") -> int:
         u0 = [initial_velocity(cfg)]   # handed over to _solve
         _plan(cfg, u0[0])   # a step count from cfl_target needs u0
     outdir = Path(outdir)
+    if outdir.is_dir() and any(outdir.iterdir()):
+        raise FileExistsError(f"output directory {outdir} is not empty")
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "config.json", cfg.to_dict())
     if command == "verify-identities":

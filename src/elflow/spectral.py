@@ -138,12 +138,12 @@ def to_spectral(grid: Grid, values: np.ndarray, *, band: bool = False) -> np.nda
 
 
 def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
-                band: bool = False) -> np.ndarray:
+                band: bool = False, out=None) -> np.ndarray:
     """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
     transform uses ``hat`` as work space; pass it only for a temporary that
     is not read again. ``band=True`` promises that ``hat`` is zero off the
     2/3 mask, so the passes skip the lines the mask zeroes; the result is
-    the full inverse's.
+    the full inverse's. The result is written into ``out`` when it is given.
 
     The passes: axis -3 (3D) on the lines kept along both other axes, then
     axis -2 on the kept last-axis indices, then the last axis on every line.
@@ -165,7 +165,7 @@ def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
                        out=work[..., cols, last])
         lines = work[..., last]
     kernel.c2c(lines, axes=[nd - 2], forward=False, inorm=0, out=work[..., last])
-    out = kernel.c2r(work, axes=[nd - 1], lastsize=grid.n, forward=False, inorm=0)
+    out = kernel.c2r(work, axes=[nd - 1], lastsize=grid.n, forward=False, inorm=0, out=out)
     out *= 1.0 / grid.n**grid.dim
     return out
 

@@ -8,8 +8,9 @@ nu = 0 the factor is 1 and the scheme reduces to plain RK4.
 The state is a stacked spectrum that is zero off the 2/3 mask, as every
 solver's band-transformed state is. The step holds its own stacks (its copy
 of the state, the accumulator, the held slope) packed to the band
-(``spectral.pack``), and uses the array it is given as the stage work array:
-each stage input, and the result, is written in band into it.
+(``spectral.pack``), and each right-hand side returns its N packed, so no
+stage makes a full-size N. The array the step is given is its stage work
+array: each stage input, and the result, is written in band into it.
 """
 from __future__ import annotations
 
@@ -31,39 +32,37 @@ def if_rk4_step(grid: Grid, yhat: np.ndarray, t: float, dt: float, nu: float, rh
 
     ``yhat`` is the stage work array: the later stage inputs and the result
     are written in band into it, its off-band zeros are kept, and it is
-    returned. ``rhs(y, t)`` returns N in spectral space, whose in-band
-    coefficients the step reads, and the physical velocity of its stage; it
-    must hold no reference to ``y``. The first stage's velocity is that of
-    the input state: raises ``CFLViolationError`` when its CFL number
-    exceeds ``CFL_LIMIT``.
+    returned. ``rhs(y, t)`` returns N in spectral space packed to the band
+    (``spectral.pack``), as a new array that the step may overwrite, and the
+    physical velocity of its stage; it must hold no reference to ``y``.
+    The first stage's velocity is that of the input state: raises
+    ``CFLViolationError`` when its CFL number exceeds ``CFL_LIMIT``.
     """
     band = band_index(grid)
     e = np.exp(-nu * pack(grid, tables(grid).k2) * (0.5 * dt))
     e2 = e * e
-    n1, u = rhs(yhat, t)
+    acc, u = rhs(yhat, t)
     max_u = float(np.max(np.sqrt(np.einsum("k...,k...->...", u, u))))
     del u   # not held through the later stages (tests/test_memory_budget.py)
     if max_u * dt / grid.spacing > CFL_LIMIT:
         raise CFLViolationError(dt, grid.spacing, max_u, CFL_LIMIT)
-    # Each stage's N is packed as it returns and folded into one packed
-    # accumulator once the next stage's input is built, in the operation
-    # order of e2*y + dt/6*(e2*n1 + 2e*(n2 + n3) + n4): the result is that
-    # formula's bit for bit in band, and no stage runs with more than two
-    # packed N stacks held.
+    # Each stage's packed N is folded into one packed accumulator (the
+    # first stage's N) once the next stage's input is built, in the
+    # operation order of e2*y + dt/6*(e2*n1 + 2e*(n2 + n3) + n4): the result
+    # is that formula's bit for bit in band, and no stage runs with more
+    # than two packed N stacks held.
     y = pack(grid, yhat)
-    acc = pack(grid, n1)
-    del n1
     yhat[band] = e * (y + 0.5 * dt * acc)
     np.multiply(e2, acc, out=acc)
-    n2 = pack(grid, rhs(yhat, t + 0.5 * dt)[0])
+    n2 = rhs(yhat, t + 0.5 * dt)[0]
     yhat[band] = e * y + 0.5 * dt * n2
-    n3 = pack(grid, rhs(yhat, t + 0.5 * dt)[0])
+    n3 = rhs(yhat, t + 0.5 * dt)[0]
     yhat[band] = e2 * y + dt * e * n3
     n2 += n3
     del n3
     acc += np.multiply(2.0 * e, n2, out=n2)
     del n2
-    acc += pack(grid, rhs(yhat, t + dt)[0])
+    acc += rhs(yhat, t + dt)[0]
     np.multiply(dt / 6.0, acc, out=acc)
     yhat[band] = np.add(e2 * y, acc, out=acc)
     return yhat

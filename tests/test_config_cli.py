@@ -302,6 +302,37 @@ class TestCLI:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "output"
 
+    @pytest.mark.parametrize("first", ["cfl-failure", "bounds-report"])
+    def test_non_empty_out_exits_1_and_keeps_its_files(self, first, tmp_path, capsys):
+        # a run into the --out of an earlier command would list and hash
+        # that command's failure.json or report_bounds.json in its manifest
+        out = tmp_path / "o"
+        if first == "cfl-failure":
+            assert execute(tiny_config(mode="el", dt=5.0, t_end=10.0), out) == 2
+        else:
+            assert execute(tiny_bounds_config(), out, command="bounds-report") == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(mode="el").to_dict()))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "output"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        # an output directory that exists but is empty is taken
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["run", "--config", str(cfg_path), "--out", str(empty)]) == 0
+
+    def test_cli_import_leaves_openssl_unloaded(self):
+        """``hashlib`` loads OpenSSL (about 3.6 MiB of RSS); only the manifest
+        and the configuration hash read it, at the end of a command."""
+        script = "import sys\nimport elflow.cli\nprint('_hashlib' in sys.modules)\n"
+        src = str(Path(el.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("doc", [
         {"grid": [2, 16]},
         {"nu": "x"},

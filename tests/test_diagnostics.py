@@ -14,7 +14,7 @@ from elflow.diagnostics import (
 )
 from elflow.el import derive, el_step, initial_state, reset_labels
 from elflow.errors import FieldCompatibilityError
-from elflow.fields import Field, l2_norm, magnitude, zeros
+from elflow.fields import Field, l2_norm, zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import random_displacement
@@ -27,8 +27,7 @@ ZERO = ForcingSpec("zero")
 
 def record(state, nu, **kwargs):
     """``record_el`` of a freshly derived state."""
-    d = derive(state)
-    return record_el(state, d, nu, c_mag=magnitude(d.C), **kwargs)
+    return record_el(state, derive(state), nu, **kwargs)
 
 
 def run_el_history(grid, nu, forcing, steps, dt, *, amplitude=0.2, every=10,

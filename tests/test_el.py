@@ -14,19 +14,19 @@ from elflow.el import (
     WState, compute_C, compute_Q, compute_w,
     cotangent_step, derive, el_step, el_step_with_passive,
     initial_state, reconstruct_u, reset_labels, _advection, _commutator,
-    _commutator_source, _cotangent_nonlinear_hat, _label, _potential_rhs_hat,
-    _stage_terms,
+    _commutator_rows, _commutator_source, _cotangent_nonlinear_hat, _label,
+    _potential_rhs_hat, _stage_terms,
 )
 from elflow.errors import CFLViolationError, NearSingularJacobianError
 from elflow.fields import Field, l2_norm, magnitude, sup_norm, zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid, tables
-from elflow.identities import random_displacement
+from elflow.identities import make_test_state, random_displacement
 from elflow.initial import random_bandlimited, random_scalar, taylor_green
 from elflow.runner import el_sample
 from elflow.spectral import (
-    divergence, gradient, laplacian, leray_project, to_physical,
-    to_spectral,
+    band_index, divergence, gradient, laplacian, leray_project, pack,
+    second_derivs, to_physical, to_spectral,
 )
 from elflow.stepping import CFL_LIMIT, if_rk4_step
 
@@ -50,7 +50,10 @@ def stage_rates(state, nu, force=None):
     k2 = tables(grid).k2
     lhat = to_spectral(grid, state.ell.data)
     vhat = to_spectral(grid, state.v.data)
-    g_ell, g_v, u = _stage_terms(grid, nu, lhat, vhat, force)
+    g_ell, g_v = (np.zeros_like(lhat) for _ in range(2))
+    band = band_index(grid)
+    ws = np.empty((2, grid.dim, grid.dim, *grid.shape))
+    g_ell[band], g_v[band], u = _stage_terms(grid, nu, lhat, vhat, force, ws)
     rates = [to_physical(grid, g_ell - nu * k2 * lhat),
              to_physical(grid, g_v - nu * k2 * vhat)]
     if state.potential_mode == "dynamic":
@@ -179,6 +182,33 @@ class TestStreamedCommutator:
         assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
         assert (np.max(np.abs(source - source_ref))
                 <= 1e-13 * np.max(np.abs(source_ref)))
+
+    @pytest.mark.parametrize("moved", [False, True])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_rows_stack_to_the_component_stacked_sum(self, dim, n, moved):
+        # the rows, one component of ell at a time, give bit for bit the C
+        # summed from the second-derivative blocks of all components at once
+        grid = Grid(dim, n, TWO_PI)
+        ell = random_displacement(grid, 7, 0.2) if moved else zeros(grid, 1)
+        lhat = to_spectral(grid, ell.data)
+        q = compute_Q(ell).data
+        ref = np.zeros((dim, dim, dim, *grid.shape))
+        for k, j, block in second_derivs(grid, lhat):
+            for m in range(dim):
+                ref[m, k] += q[:, j] * block[m]
+                if j != k:
+                    ref[m, j] += q[:, k] * block[m]
+        assert np.stack(list(_commutator_rows(grid, q, lhat))).tobytes() == ref.tobytes()
+        assert _commutator(grid, q, lhat).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("moved", [False, True])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_derive_magnitude_is_that_of_the_whole_C(self, dim, n, moved):
+        grid = Grid(dim, n, TWO_PI)
+        state = (make_test_state(grid, 4, 0.2) if moved
+                 else initial_state(random_bandlimited(grid, 4)))
+        whole = magnitude(compute_C(state.ell, compute_Q(state.ell)))
+        assert derive(state).C_magnitude.data.tobytes() == whole.tobytes()
 
 
 def explicit_sum(a, b):
@@ -358,16 +388,19 @@ class TestELStep:
         a, b, yhat = crandn(), crandn(), crandn()
         u = np.zeros((grid.dim, *grid.shape))
 
-        def rhs(y, t):
-            return a * y + (1.0 + t) * b, u
+        def n_of(y, t):
+            return a * y + (1.0 + t) * b
+
+        def rhs(y, t):   # N packed to the band, as every solver returns it
+            return pack(grid, n_of(y, t)), u
 
         t, dt = 0.3, 1e-2
         e = np.exp(-nu * tables(grid).k2 * (0.5 * dt))
         e2 = e * e
-        n1 = rhs(yhat, t)[0]
-        n2 = rhs(e * (yhat + 0.5 * dt * n1), t + 0.5 * dt)[0]
-        n3 = rhs(e * yhat + 0.5 * dt * n2, t + 0.5 * dt)[0]
-        n4 = rhs(e2 * yhat + dt * e * n3, t + dt)[0]
+        n1 = n_of(yhat, t)
+        n2 = n_of(e * (yhat + 0.5 * dt * n1), t + 0.5 * dt)
+        n3 = n_of(e * yhat + 0.5 * dt * n2, t + 0.5 * dt)
+        n4 = n_of(e2 * yhat + dt * e * n3, t + dt)
         expected = e2 * yhat + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
         y_in = yhat.copy()
         result = if_rk4_step(grid, y_in, t, dt, nu, rhs)
@@ -449,13 +482,13 @@ class TestELStep:
 
 
 class TestDeformationConditioning:
-    """(grad A) Q = I from ``derive``, and the range of det(grad A) that
+    """(grad A) Q = I from ``compute_Q``, and the range of det(grad A) that
     every EL record carries."""
 
     @staticmethod
     def z_residual(state):
-        d = derive(state)
-        z = np.einsum("im...,mj...->ij...", d.grad_A.data, d.Q.data)
+        z = np.einsum("im...,mj...->ij...", grad_a_of(state.ell).data,
+                      compute_Q(state.ell).data)
         for i in range(state.ell.grid.dim):
             z[i, i] -= 1.0
         return float(np.max(np.abs(z)))
@@ -503,7 +536,7 @@ class TestResetLabels:
         after = reset_labels(self._evolved_state(grid2d))
         d = derive(after)
         assert sup_norm(after.ell) == 0.0
-        assert sup_norm(d.C) == 0.0
+        assert sup_norm(d.C_magnitude) == 0.0
         eye = np.zeros_like(d.Q.data)
         for i in range(grid2d.dim):
             eye[i, i] = 1.0

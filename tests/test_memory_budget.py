@@ -5,7 +5,8 @@ above its start is deterministic for a given code path. The budgets are
 stated in real scalar fields (``n**dim`` float64 values) at 3D n=16 and
 bound the arrays the code holds at once: the second-derivative and
 commutator algebra is consumed block by block, never as whole rank-3 or
-rank-4 tensors, and no identity check holds more than one EL step's
+rank-4 tensors, a sample holds one row of C at a time and so no more than
+a step, and no identity check holds more than one EL step's
 working set plus the fields it names. A run writes each snapshot when it is
 taken, so a whole command holds none of them past its sample.
 ``to_physical(..., overwrite=True)`` works in place in a temporary spectrum
@@ -19,9 +20,11 @@ n points per axis (default 16):
 
     PYTHONPATH=src python tests/test_memory_budget.py 48
 """
+import itertools
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +98,8 @@ def _calls(outdir, grid: Grid = GRID):
     compare = RunConfig(grid=GridConfig(dim=grid.dim, n=grid.n), nu=NU, dt=2e-3,
                         t_end=0.02, initial=InitialConfig(kind="random_bandlimited"),
                         forcing=FORCE, cadence=5).validate()
+    # execute refuses a non-empty output directory: each call gets its own
+    runs = (Path(outdir) / f"compare{i}" for i in itertools.count())
     return {
         "el_step": lambda: el_step(state, FORCE, 2e-3, nu=NU),
         "derive": lambda: derive(state),
@@ -103,22 +108,22 @@ def _calls(outdir, grid: Grid = GRID):
         "check_gamma_commutation": lambda: check_gamma_commutation(state, g, 2e-3, nu=NU),
         "check_braces": lambda: check_braces(ell),
         "compare_gauge": lambda: compare_runs(gauge, u0),
-        "execute_compare": lambda: execute(compare, outdir, "compare"),
+        "execute_compare": lambda: execute(compare, next(runs), "compare"),
     }
 
 
-# Measured peaks plus about 5% (numpy 2.4): el_step 54.2, derive 59.3,
-# el_sample 59.3, check_C_evolution 86.9, check_gamma_commutation 73.4,
-# check_braces 56.3, compare_gauge 74.6, execute_compare 69.7 fields.
+# Measured peaks plus about 5% (numpy 2.4): el_step 49.6, derive 32.5,
+# el_sample 40.2, check_C_evolution 86.9, check_gamma_commutation 69.6,
+# check_braces 52.5, compare_gauge 69.9, execute_compare 60.1 fields.
 BUDGETS = {
-    "el_step": 57,
-    "derive": 62,
-    "el_sample": 62,
+    "el_step": 52,
+    "derive": 34,
+    "el_sample": 42,
     "check_C_evolution": 91,
-    "check_gamma_commutation": 77,
-    "check_braces": 59,
-    "compare_gauge": 79,
-    "execute_compare": 74,
+    "check_gamma_commutation": 73,
+    "check_braces": 55,
+    "compare_gauge": 73,
+    "execute_compare": 63,
 }
 
 
@@ -126,6 +131,16 @@ BUDGETS = {
 def test_peak_within_budget(name, tmp_path):
     peak = peak_fields(_calls(tmp_path)[name])
     assert peak <= BUDGETS[name], f"{name} peaked at {peak:.1f} fields"
+
+
+def test_a_sample_peaks_at_or_below_a_step(tmp_path):
+    """A sample takes |C| one row of C at a time, so neither ``derive`` nor
+    ``el_sample`` holds more than an EL step."""
+    calls = _calls(tmp_path)
+    step = peak_fields(calls["el_step"])
+    for name in ("derive", "el_sample"):
+        peak = peak_fields(calls[name])
+        assert peak <= step, f"{name} peaked at {peak:.1f} fields, el_step at {step:.1f}"
 
 
 def _contractions(grid: Grid = GRID):
