@@ -100,6 +100,8 @@ class RunConfig:
             raise ConfigError("t_end must be positive")
         if self.cfl_target <= 0:
             raise ConfigError("cfl_target must be positive")
+        if min(self.initial.seed, self.mc.seed, self.identity_seed) < 0:
+            raise ConfigError("initial.seed, mc.seed and identity_seed must be >= 0")
         if self.mc.samples < 2:
             raise ConfigError("mc.samples must be >= 2 (the standard error needs two)")
         if min(self.identity_dts, default=0) <= 0 or len(set(self.identity_dts)) < 2:

@@ -398,25 +398,29 @@ def epsilon_bound(records, nu: float, grid: Grid,
     series = []
     for idx in range(1, len(records)):
         tt = times[idx]
-        bt = 4.0 * e0 + tt * eps_B
-        exponent = coeff * eps_sq_int[idx]
-        # The exponential is typically astronomically lax; track the ratio in
-        # log space so resolution comparisons stay meaningful.
-        # B(t) = 0 only for a flow at rest without forcing
-        log_b = math.log(bt / nu**2) if bt > 0 else -math.inf
-        log_rhs = log_b + exponent if nu > 0 else math.inf
-        rhs = math.exp(min(log_rhs, 700.0)) if nu > 0 else math.inf
+        if nu > 0:
+            bt = 4.0 * e0 + tt * eps_B
+            exponent = coeff * eps_sq_int[idx]
+            # The exponential is typically astronomically lax; track the
+            # ratio in log space so resolution comparisons stay meaningful.
+            # B(t) = 0 only for a flow at rest without forcing
+            log_b = math.log(bt / nu**2) if bt > 0 else -math.inf
+            log_rhs = log_b + exponent
+            rhs = math.exp(min(log_rhs, 700.0))
+        else:   # vacuous at nu = 0: the exponent and the right side are infinite
+            exponent = log_rhs = rhs = math.inf
         lhs = records[idx].lap_ell_l2
         log_ratio = math.log(lhs) - log_rhs if lhs > 0 else -math.inf
         ratio = 0.0 if lhs == 0 else lhs / rhs if rhs > 0 else math.inf
         series.append({"t": tt, "lhs": lhs, "rhs": rhs, "ratio": ratio,
                        "log_ratio": log_ratio,
                        "exponent": exponent})
+    note = problem or "generic constants set to 1; reported, never asserted"
     return EpsilonBoundReport(
-        exponent=coeff * eps_sq_int[-1],
+        exponent=coeff * eps_sq_int[-1] if nu > 0 else math.inf,
         series=series,
         grad_lap_time_integral=nu * grad_lap_int[-1],
-        note=(problem or "generic constants set to 1; reported, never asserted"),
+        note=note if nu > 0 else f"vacuous: the bound needs nu > 0; {note}",
     )
 
 

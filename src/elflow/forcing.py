@@ -7,9 +7,12 @@ used by the energy bounds never rely on quadrature:
 * ``G2``  = volume average of |(-laplacian)^(-1/2) f|^2,
 * ``Lf2`` = G2 / F2, the squared forcing length scale.
 
-Catalog: ``zero``; ``single_mode`` (one shear mode, amplitude a, wavenumber
-index k: f = a sin(2 pi k x2 / L) e1); ``multi_mode`` (two orthogonal shear
-modes at indices k1, k2, the second weighted by ``second_weight``).
+Each kind is a tuple of shear-mode rows ``(amplitude, index, component,
+axis)``, one row per term a sin(2 pi k x_axis / L) e_component; the field,
+F2 and G2 are sums over the rows, started from zero. Catalog: ``zero`` (no
+rows); ``single_mode`` (one row, amplitude a, wavenumber index k:
+f = a sin(2 pi k x2 / L) e1); ``multi_mode`` (two orthogonal rows at
+indices k1, k2, the second weighted by ``second_weight``).
 """
 from __future__ import annotations
 
@@ -46,40 +49,34 @@ class ForcingSpec:
     def is_zero(self) -> bool:
         return self.kind == "zero" or self.amplitude == 0.0
 
+    def _shears(self) -> tuple[tuple[float, int, int, int], ...]:
+        """The kind's shear modes as ``(amplitude, index, component, axis)``
+        rows: each adds amplitude sin(2 pi index x_axis / L) to component."""
+        if self.kind == "single_mode":
+            return ((self.amplitude, self.mode, 0, 1),)
+        if self.kind == "multi_mode":
+            k1, k2 = self.modes
+            return ((self.amplitude, k1, 0, 1),
+                    (self.amplitude * self.second_weight, k2, 1, 0))
+        return ()
+
     def field(self, grid: Grid) -> Field:
         """Sample the force on ``grid`` (the catalog is steady)."""
-        if self.is_zero:
-            return zeros(grid, 1)
-        x = grid.coords()
-        out = np.zeros((grid.dim, *grid.shape))
+        out = zeros(grid, 1)
         two_pi = 2.0 * np.pi / grid.length
-        if self.kind == "single_mode":
-            out[0] = self.amplitude * np.sin(two_pi * self.mode * x[1])
-        else:
-            k1, k2 = self.modes
-            out[0] = self.amplitude * np.sin(two_pi * k1 * x[1])
-            out[1] = self.amplitude * self.second_weight * np.sin(two_pi * k2 * x[0])
-        return Field(grid, out)
+        for a, k, component, axis in self._shears():
+            x = grid.axis_points().reshape([-1 if j == axis else 1 for j in range(grid.dim)])
+            out.data[component] += a * np.sin(two_pi * k * x)
+        return out
 
     def mean_square(self) -> float:
         """F^2, independent of the box size."""
-        if self.is_zero:
-            return 0.0
-        if self.kind == "single_mode":
-            return 0.5 * self.amplitude**2
-        return 0.5 * self.amplitude**2 * (1.0 + self.second_weight**2)
+        return sum((0.5 * a**2 for a, *_ in self._shears()), 0.0)
 
     def g_square(self, length: float) -> float:
         """G^2 for a box of period ``length``."""
-        if self.is_zero:
-            return 0.0
         two_pi = 2.0 * np.pi / length
-        if self.kind == "single_mode":
-            return 0.5 * self.amplitude**2 / (two_pi * self.mode) ** 2
-        k1, k2 = self.modes
-        return 0.5 * self.amplitude**2 * (
-            1.0 / (two_pi * k1) ** 2 + self.second_weight**2 / (two_pi * k2) ** 2
-        )
+        return sum((0.5 * a**2 / (two_pi * k) ** 2 for a, k, *_ in self._shears()), 0.0)
 
     def length_scale_sq(self, length: float) -> float:
         """L_f^2 = G^2/F^2 (0 for the zero entry)."""

@@ -4,13 +4,15 @@ All fields in the package live on a uniform periodic grid with the same
 number of points ``n`` along each of ``dim`` axes and period ``length``.
 Collocation points are x_j = j*h with h = length/n. Spectral representations
 use real-to-complex transforms over the spatial axes (Hermitian-symmetric
-storage, last axis halved).
+storage, last axis halved). The wavenumber tables are built from exact
+integer mode indices, so they hold for every even n, and nothing here loads
+``numpy.fft``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,60 +62,49 @@ class Grid:
 class SpectralTables:
     """Precomputed wavenumber arrays for one grid (read-only, cached).
 
-    ``k[j]`` are derivative wavenumbers (Nyquist mode zeroed, see below),
-    broadcastable over the rfftn output shape ``kshape``. ``k2`` is the full
-    |k|^2 including the Nyquist mode, so Poisson inversion round-trips
-    exactly; the Nyquist mode is dropped only from odd-order derivatives,
-    where its sign is ambiguous.
+    ``mode_index[j]`` holds the exact integer indices along axis j (``0 ..
+    n/2-1, -n/2 .. -1``, or ``0 .. n/2`` on the halved last axis),
+    broadcastable over the rfftn output shape ``kshape``. ``k[j]`` are
+    derivative wavenumbers with the Nyquist index (|m| = n/2) zeroed, since
+    its sign is ambiguous in odd-order derivatives. ``k2`` is the full |k|^2
+    including the Nyquist mode, so Poisson inversion round-trips exactly.
     """
 
     def __init__(self, grid: Grid):
         n, dim = grid.n, grid.dim
         scale = 2.0 * np.pi / grid.length
         self.kshape = (n,) * (dim - 1) + (n // 2 + 1,)
+        full = np.arange(n)
+        full[n // 2:] -= n
+        self.mode_index = tuple(
+            (full if axis < dim - 1 else np.arange(n // 2 + 1)).reshape(
+                [-1 if j == axis else 1 for j in range(dim)])
+            for axis in range(dim))
 
-        index_full, k, k_full = [], [], []
-        for axis in range(dim):
-            if axis == dim - 1:
-                m = np.arange(n // 2 + 1, dtype=float)
-            else:
-                m = np.fft.fftfreq(n, d=1.0 / n)
-            shape = [1] * dim
-            shape[axis] = m.size
-            m = m.reshape(shape)
-            m_deriv = np.where(np.abs(m) == n // 2, 0.0, m)
-            index_full.append(m)
-            k.append(scale * m_deriv)
-            k_full.append(scale * m)
-
-        self.k = tuple(k)
-        self.ik = tuple(1j * kj for kj in k)
-        self.k2 = sum(kf**2 for kf in k_full)
-        inv = np.zeros_like(self.k2)
-        nonzero = self.k2 > 0
-        inv[nonzero] = 1.0 / self.k2[nonzero]
-        self.inv_k2 = inv
+        self.k = tuple(scale * np.where(np.abs(m) == n // 2, 0, m) for m in self.mode_index)
+        self.ik = tuple(1j * kj for kj in self.k)
+        self.k2 = sum((scale * m) ** 2 for m in self.mode_index)
+        self.inv_k2 = _inverse(self.k2)
         # Same inverse built from the derivative wavenumbers: operators that
         # combine first derivatives with a Poisson solve (projection, Riesz
         # forms) must use one consistent k or they stop being projections.
-        k2d = sum(kd**2 for kd in k)
-        invd = np.zeros_like(k2d)
-        nonzero = k2d > 0
-        invd[nonzero] = 1.0 / k2d[nonzero]
-        self.inv_k2_deriv = invd
-
-        cutoff = n // 3
-        keep = np.ones(self.kshape, dtype=bool)
-        for m in index_full:
-            keep &= np.abs(m) <= cutoff
-        self.dealias_mask = keep
-        self.mode_index = tuple(index_full)
+        self.inv_k2_deriv = _inverse(sum(kj**2 for kj in self.k))
+        self.dealias_mask = functools.reduce(
+            np.logical_and, (np.abs(m) <= n // 3 for m in self.mode_index))
 
         for arr in (*self.k, *self.ik, self.k2, self.inv_k2, self.inv_k2_deriv,
                     self.dealias_mask, *self.mode_index):
             arr.setflags(write=False)
 
 
-@lru_cache(maxsize=32)
+def _inverse(k2: np.ndarray) -> np.ndarray:
+    """1/k2 where k2 > 0, and 0 at the zero mode."""
+    inv = np.zeros_like(k2)
+    nonzero = k2 > 0
+    inv[nonzero] = 1.0 / k2[nonzero]
+    return inv
+
+
+@functools.lru_cache(maxsize=32)
 def tables(grid: Grid) -> SpectralTables:
     return SpectralTables(grid)

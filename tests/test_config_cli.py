@@ -379,12 +379,29 @@ class TestCLI:
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,doc", [
+        ("run", {"mode": "el", "initial": {"kind": "random_bandlimited", "seed": -1}}),
+        ("pair-dispersion", {"mode": "el", "reset": {"enabled": False},
+                             "mc": {"samples": 2000, "seed": -3}}),
+        ("verify-identities", {"identity_seed": -5}),
+    ], ids=["initial-seed", "mc-seed", "identity-seed"])
+    def test_negative_seed_is_a_config_error(self, command, doc, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**tiny_config().to_dict(), **doc}))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_no_run_imports_scipy_fft_and_every_run_loads_the_kernel(self, dim, tmp_path):
         """Transforms of both dims run on scipy's compiled pocketfft kernel,
         loaded from its file, so a fresh process of either dim loads the
         kernel and ends with no scipy module (scipy.fft, scipy.special) in
-        sys.modules."""
+        sys.modules; and the wavenumber tables are built from integers, so
+        it never loads numpy.fft either."""
         cfg_path = tmp_path / "cfg.json"
         cfg = tiny_config(mode="el", grid=GridConfig(dim=dim, n=16))
         cfg_path.write_text(json.dumps(cfg.to_dict()))
@@ -393,7 +410,8 @@ class TestCLI:
                   "from elflow import spectral\n"
                   "from elflow.cli import main\n"
                   f"rc = main({argv!r})\n"
-                  "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+                  "print(rc, sorted(m for m in sys.modules\n"
+                  "                 if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft')),\n"
                   "      spectral._pocketfft.cache_info().currsize == 1)\n")
         src = str(Path(el.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -427,6 +445,27 @@ class TestCLI:
         for entry in series:
             assert entry["lhs"] == entry["ratio"] == 0.0
             assert entry["log_ratio"] == -math.inf
+
+    def test_bounds_report_at_zero_viscosity_is_vacuous_not_nan(self, tmp_path, capfd):
+        # the epsilon bound carries 1/nu: at nu = 0 its right side is infinite
+        cfg = tiny_config(mode="el", grid=GridConfig(dim=3, n=16), nu=0.0, dt=5e-3,
+                          t_end=0.05, reset=ResetConfig(enabled=False),
+                          initial=InitialConfig(kind="taylor_green", amplitude=0.2))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "o"
+        assert main(["bounds-report", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        text = (out / "report_bounds.json").read_text()
+        assert "NaN" not in text
+        epsilon = json.loads(text)["epsilon"]
+        assert "nu > 0" in epsilon["note"]
+        assert epsilon["exponent"] == math.inf
+        assert epsilon["series"]
+        for entry in epsilon["series"]:
+            assert entry["exponent"] == entry["rhs"] == math.inf
+            assert entry["ratio"] == 0.0 and entry["log_ratio"] == -math.inf
 
     def test_report_entries_carry_the_documented_keys(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from elflow.errors import ConfigError
 from elflow.fields import l2_norm, sup_norm, Field
 from elflow.forcing import ForcingSpec
-from elflow.grid import Grid
+from elflow.grid import Grid, tables
 from elflow.initial import abc_flow, make_initial, random_bandlimited, taylor_green
-from elflow.spectral import curl, divergence, dealias
+from elflow.spectral import curl, divergence, dealias, to_physical, to_spectral
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,14 +24,22 @@ class TestForcingCatalog:
     @pytest.mark.parametrize("kind,kwargs", [
         ("single_mode", {"amplitude": 0.7, "mode": 2}),
         ("multi_mode", {"amplitude": 0.5, "modes": (1, 3), "second_weight": 0.4}),
+        ("zero", {}),
     ])
     def test_divergence_free_and_band_limited(self, grid3d, kind, kwargs):
         f = ForcingSpec(kind, **kwargs)
         field = f.field(grid3d)
-        rms = np.sqrt(np.mean(field.data**2))
+        rms = max(np.sqrt(np.mean(field.data**2)), 1e-12)
         assert sup_norm(divergence(field)) < 1e-12 * rms
         trimmed = dealias(field)
         assert np.max(np.abs(trimmed.data - field.data)) < 1e-12
+        # F^2 and G^2, sums over the kind's shear rows, against quadrature
+        f2, g2 = f.mean_square(), f.g_square(grid3d.length)
+        assert type(f2) is float and type(g2) is float
+        assert np.isclose(f2, l2_norm(field) ** 2 / grid3d.volume, rtol=1e-12, atol=0)
+        half = np.sqrt(tables(grid3d).inv_k2) * to_spectral(grid3d, field.data)
+        quad_g2 = l2_norm(Field(grid3d, to_physical(grid3d, half))) ** 2 / grid3d.volume
+        assert np.isclose(g2, quad_g2, rtol=1e-12, atol=0)
 
     def test_single_mode_closed_forms_match_quadrature(self, grid3d):
         a, k = 0.9, 2
@@ -52,8 +60,6 @@ class TestForcingCatalog:
         assert np.isclose(f.mean_square(), l2_norm(field) ** 2 / grid2d.volume,
                           rtol=1e-12)
         # G^2 via the spectral inverse-half-laplacian quadrature
-        from elflow.grid import tables
-        from elflow.spectral import to_spectral, to_physical
         tab = tables(grid2d)
         hat = to_spectral(grid2d, field.data)
         half = np.sqrt(tab.inv_k2) * hat

@@ -50,6 +50,17 @@ class TestGrid:
         x, y = g.coords()
         assert x[1, 0] == g.spacing and y[0, 1] == g.spacing
 
+    def test_mode_indices_are_exact_integers(self):
+        """Integer indices for every even n, with no Nyquist wavenumber left
+        in the derivative table (a float fftfreq rounds on 14 of these n)."""
+        for n in range(8, 514, 2):
+            tab = tables(Grid(2, n, TWO_PI))
+            full, half = (m.ravel() for m in tab.mode_index)
+            assert full.dtype.kind == half.dtype.kind == "i"
+            assert full.tolist() == [*range(n // 2), *range(-n // 2, 0)]
+            assert half.tolist() == list(range(n // 2 + 1))
+            assert tab.k[0].ravel()[n // 2] == tab.k[1].ravel()[n // 2] == 0.0, n
+
 
 class TestGradient:
     def test_constant_is_zero(self, grid2d):
@@ -63,6 +74,13 @@ class TestGradient:
         grad = gradient(s)
         assert np.max(np.abs(grad.data[0] - kappa * np.cos(kappa * x))) < 1e-12
         assert np.max(np.abs(grad.data[1])) < 1e-13
+
+    def test_nyquist_mode_has_no_derivative_at_n98(self):
+        """cos(49 x0) sits on the Nyquist index of n = 98, where d0 is 0."""
+        g = Grid(2, 98, TWO_PI)
+        x, y = g.coords()
+        grad = gradient(Field(g, np.cos(49 * x) * np.sin(3 * y)))
+        assert np.max(np.abs(grad.data[0])) <= 1e-12
 
     def test_components_zero_mean(self, grid2d):
         s = random_scalar(grid2d, 3)

@@ -63,7 +63,8 @@ def _workload(name: str, seed: int = 1, **overrides) -> dict:
     return {"workload": name, "seed": seed, "doc": overrides}
 
 
-# Every solver and command, a bounds report on a flow at rest, CFL and
+# Every solver and command, bounds reports on a flow at rest and at nu = 0,
+# a grid whose Nyquist index a float fftfreq rounds (n = 98), CFL and
 # mid-run solver failures (exit 2), both ways to fix dt, and the benchmark
 # workloads at seed 1.
 CASES = {
@@ -89,6 +90,13 @@ CASES = {
     "bounds-report-2d": _case("bounds-report", {**_TINY, **_UNBROKEN}),
     "bounds-report-at-rest": _case("bounds-report", {**_TINY, **_UNBROKEN},
                                    initial={"kind": "taylor_green", "amplitude": 0.0}),
+    "bounds-report-euler": _case(
+        "bounds-report", {"grid": {"dim": 3, "n": 16}, "nu": 0.0, "dt": 5e-3,
+                          "t_end": 0.05, "cadence": 2, "mode": "el",
+                          "reset": {"enabled": False},
+                          "initial": {"kind": "taylor_green", "amplitude": 0.2},
+                          "mc": {"samples": 2000}}),
+    "el-n98": _case("run", _TINY, mode="el", grid={"dim": 2, "n": 98}),
     "pair-dispersion": _case("pair-dispersion", _TINY, mode="el",
                              reset={"enabled": False}),
     "verify-identities-2d": _case("verify-identities", _TINY,
