@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, _advection
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import (
@@ -34,8 +34,7 @@ def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: Field | None):
     u = to_physical(grid, uhat, band=True)
     jac = to_physical(grid, grad_hat(grid, uhat), overwrite=True,
                       band=True)   # jac[i, m] = d_i u_m
-    adv = np.einsum("i...,im...->m...", u, jac)
-    out = to_spectral(grid, -adv, band=True)
+    out = to_spectral(grid, -_advection(u, jac), band=True)
     if force is not None:
         out = out + to_spectral(grid, force.data, band=True)
     return leray_hat(grid, out), u
@@ -50,12 +49,12 @@ def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NS
     grid = state.u.grid
     force = None if forcing.is_zero else forcing.field(grid)
 
-    def rhs(yhat, t):
+    def rhs(yhat):
         out, u = _nonlinear_hat(grid, yhat, force)
         return pack(grid, out), u
 
     uhat = to_spectral(grid, state.u.data, band=True)
-    new_hat = if_rk4_step(grid, uhat, state.t, dt, nu, rhs)
+    new_hat = if_rk4_step(grid, uhat, dt, nu, rhs)
     u_new = to_physical(grid, new_hat, overwrite=True, band=True)
     ensure_finite(u_new, "velocity", state.t + dt)
     return NSState(state.t + dt, Field(grid, u_new))

@@ -116,9 +116,16 @@ class RunConfig:
         if any(m < 2 for m in self.m_list) or len(set(self.m_list)) < len(self.m_list):
             raise ConfigError("m_list entries must be distinct integers >= 2")
         try:
-            self.grid.build()
+            grid = self.grid.build()
         except ValueError as exc:   # the grid carries its own diagnostics
             raise ConfigError(str(exc)) from exc
+        # every solver holds its state in the 2/3 band: a mode above it would
+        # be truncated at the first step, a force enter the bounds unapplied
+        name = "band" if self.initial.kind == "random_bandlimited" else "mode"
+        if (getattr(self.initial, name) or 0) > grid.cutoff:
+            raise ConfigError(f"initial.{name} must be <= grid.n // 3 = {grid.cutoff}")
+        if max((k for _, k, *_ in self.forcing._shears()), default=0) > grid.cutoff:
+            raise ConfigError(f"forcing mode indices must be <= grid.n // 3 = {grid.cutoff}")
         return self
 
     def to_dict(self) -> dict:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classical import NSState
-from .el import ELDerived, ELState, _label
+from .el import ELDerived, ELState
 from .errors import FieldCompatibilityError
-from .fields import Field, l2_norm, lp_norm, sup_norm
+from .fields import Field, _label, inner, l2_norm, lp_norm, sup_norm
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import curl, gradient, laplacian
@@ -532,6 +532,4 @@ def helicity(w: Field, u: Field):
     """int w . curl(u) dx in 3D; None in 2D (no vector vorticity)."""
     if u.grid.dim != 3:
         return None
-    omega = curl(u)
-    return float(np.sum(w.data * omega.data)
-                 / np.prod(u.grid.shape) * u.grid.volume)
+    return inner(w, curl(u))

@@ -24,7 +24,9 @@ d_i g = gradA[i, m] (Q[m, j] d_j g); all label-index contractions below run
 through the first Q index.
 
 The module also provides the cotangent variable w_i = (d_i A^m) v_m with its
-own dynamics G w + (grad u)^T w = f, u = P(w), and label resetting.
+own dynamics G w + (grad u)^T w = f, u = P(w), and label resetting. Its
+pointwise sums are the two contractions of ``fields`` (``_label`` and
+``_advection``), and every right-hand side is autonomous (``stepping``).
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularJacobianError
-from .fields import Field, sup_norm, zeros
+from .fields import Field, _advection, _label, sup_norm, zeros
 from .forcing import ForcingSpec
 from .grid import Grid
 from .spectral import (
@@ -86,9 +88,11 @@ def initial_state(u0: Field, potential_mode: str = "static") -> ELState:
 
 # -- the deformation chain -----------------------------------------------------
 #
-# grad ell -> (Q, det) -> C -> w -> (u, n), each link one function below;
-# every caller composes them. C comes one row C[m] at a time. The RK stage
-# alone projects its dealiased w spectrally instead of through ``_project``.
+# grad ell -> (Q, det) -> C -> w -> (u, n), each link one function below.
+# ``_chain`` composes the links up to w from one spectrum of ell for every
+# caller that starts from a state (``derive`` and the identity checks). C
+# comes one row C[m] at a time. The RK stage alone projects its dealiased w
+# spectrally instead of through ``_project``.
 
 def _grad_ell(grid: Grid, lhat: np.ndarray, *, band: bool = False, out=None) -> np.ndarray:
     """gl[i, m] = d_i ell_m from the spectrum of ell; ``band`` and ``out``
@@ -143,17 +147,6 @@ def _check_det(det: np.ndarray, floor: float) -> None:
     if abs(worst_val) <= floor:
         point = np.unravel_index(worst, det.shape)
         raise NearSingularJacobianError(worst_val, point, floor)
-
-
-def _label(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q[i, j] x_j pointwise: the label derivative (Q[i, j] d_j g) when
-    x = grad g; ``_cotangent`` applies it to grad ell in place of Q."""
-    return np.einsum("ij...,j...->i...", q, x)
-
-
-def _advection(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
-    """u_k d_k x from grad_x[k, ...] = d_k x, for a scalar or a vector x."""
-    return np.einsum("k...,k...->...", u, grad_x)
 
 
 def _advection_hat(grid: Grid, u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
@@ -218,6 +211,16 @@ def _project(w: Field) -> tuple[Field, Field]:
     return Field(w.grid, w.data - gradient(n).data), n
 
 
+def _chain(state: ELState):
+    """(lhat, grad ell, Q, det, w) of ``state``: the spectrum of ell and the
+    chain's links up to the cotangent field w, each made once."""
+    grid = state.ell.grid
+    lhat = to_spectral(grid, state.ell.data)
+    gl = _grad_ell(grid, lhat)
+    q, det = _deformation(gl, DEFAULT_DET_FLOOR)
+    return lhat, gl, q, det, Field(grid, _cotangent(gl, state.v.data))
+
+
 def compute_Q(ell: Field, *, det_floor: float = DEFAULT_DET_FLOOR) -> Field:
     """Pointwise inverse of the deformation Jacobian grad A = I + grad ell."""
     return Field(ell.grid, _deformation(gradient(ell).data, det_floor)[0])
@@ -256,10 +259,7 @@ def derive(state: ELState) -> ELDerived:
     the order of ``magnitude(compute_C(...))``, whose bits it gives; one
     row is held at a time."""
     grid = state.ell.grid
-    lhat = to_spectral(grid, state.ell.data)
-    gl = _grad_ell(grid, lhat)
-    q, det = _deformation(gl, DEFAULT_DET_FLOOR)
-    w = Field(grid, _cotangent(gl, state.v.data))
+    lhat, gl, q, det, w = _chain(state)
     del gl  # not held beside a row of C
     c_mag = np.zeros(grid.shape)
     for row in _commutator_rows(grid, q, lhat):
@@ -325,7 +325,7 @@ def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
     out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat), overwrite=True,
                                               band=True))
     out += quadratic_pressure_hat(grid, u)
-    out -= to_spectral(grid, 0.5 * np.einsum("k...,k...->...", u, u), band=True)
+    out -= to_spectral(grid, 0.5 * _advection(u, u), band=True)
     out[_zero_mode(grid)] = 0.0  # the free constant fixes a zero spatial mean
     return out
 
@@ -352,7 +352,7 @@ def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
     passive_rows = range(2 * d + dynamic, len(yhat))
     ws = np.empty((2, d, d, *grid.shape))   # the stages' work array
 
-    def rhs(y, t):
+    def rhs(y):
         g_ell, g_v, u = _stage_terms(grid, nu, y[:d], y[d:2 * d], force, ws)
         rows = [g_ell, g_v]
         if dynamic:
@@ -362,11 +362,10 @@ def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
             rows.append(pack(grid, _advection_hat(grid, u, grad)[None]))
         return np.concatenate(rows), u
 
-    if_rk4_step(grid, yhat, state.t, dt, nu, rhs)
+    if_rk4_step(grid, yhat, dt, nu, rhs)
     del ws   # not held past the stages
     ynew = to_physical(grid, yhat, overwrite=True, band=True)
-    ensure_finite(ynew[:d], "displacement", state.t + dt)
-    ensure_finite(ynew[d:2 * d], "virtual velocity", state.t + dt)
+    ensure_finite(ynew, "the stepped stack (ell, v[, n], passive scalars)", state.t + dt)
     ell_field = Field(grid, ynew[:d])
     v_field = Field(grid, ynew[d:2 * d])
     rows = [Field(grid, y) for y in ynew[2 * d:]]
@@ -392,12 +391,12 @@ def reset_labels(state: ELState) -> ELState:
     """Restart the labels: v' = (grad A)^T v, ell' = 0.
 
     The reconstructed velocity is unchanged (both states project the same
-    cotangent field); Q and C return to the identity and zero exactly.
+    cotangent field); Q and C return to the identity and zero exactly. The
+    new potential n solves laplacian(n) = div(w); u itself is not built.
     """
     grid = state.ell.grid
     w = compute_w(state.ell, state.v)
-    _, n_new = _project(w)
-    return ELState(state.t, zeros(grid, 1), w, n_new,
+    return ELState(state.t, zeros(grid, 1), w, inverse_laplacian(divergence(w)),
                    potential_mode=state.potential_mode,
                    reset_count=state.reset_count + 1)
 
@@ -419,9 +418,7 @@ def _cotangent_nonlinear_hat(grid: Grid, what, force: Field | None):
                      band=True)   # gw[k, m] = d_k w_m
     gu = to_physical(grid, grad_hat(grid, uhat), overwrite=True,
                      band=True)   # gu[i, j] = d_i u_j
-    adv = np.einsum("k...,km...->m...", u, gw)
-    stretch = np.einsum("ij...,j...->i...", gu, w)
-    out = -to_spectral(grid, adv + stretch, band=True)
+    out = -to_spectral(grid, _advection(u, gw) + _label(gu, w), band=True)
     if force is not None:
         out += to_spectral(grid, force.data, band=True)
     return out, u
@@ -433,12 +430,12 @@ def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
     grid = state.w.grid
     force = None if forcing.is_zero else forcing.field(grid)
 
-    def rhs(yhat, t):
+    def rhs(yhat):
         out, u = _cotangent_nonlinear_hat(grid, yhat, force)
         return pack(grid, out), u
 
     what = to_spectral(grid, state.w.data, band=True)
-    new_hat = if_rk4_step(grid, what, state.t, dt, nu, rhs)
+    new_hat = if_rk4_step(grid, what, dt, nu, rhs)
     w_new = to_physical(grid, new_hat, overwrite=True, band=True)
     ensure_finite(w_new, "cotangent variable", state.t + dt)
     return WState(state.t + dt, Field(grid, w_new))

@@ -13,6 +13,8 @@ package:
 Norms are unnormalized box integrals: ``l2_norm(f)**2 = int |f|^2 dx`` with
 the pointwise Euclidean (Frobenius) magnitude for vector and tensor fields.
 Volume averages divide by ``grid.volume`` explicitly at the call site.
+The package's pointwise contractions are ``_label`` and ``_advection``, one
+``numpy.einsum`` call each on plain arrays.
 """
 from __future__ import annotations
 
@@ -56,10 +58,22 @@ def zeros(grid: Grid, rank: int) -> Field:
     return Field(grid, np.zeros((grid.dim,) * rank + grid.shape))
 
 
+def _label(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q[i, j] x_j pointwise: the label derivative (Q[i, j] d_j g) when
+    x = grad g; ``el._cotangent`` applies it to grad ell in place of Q."""
+    return np.einsum("ij...,j...->i...", q, x)
+
+
+def _advection(u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
+    """u_k d_k x from grad_x[k, ...] = d_k x, for a scalar or a vector x: the
+    sum over the first index of both arrays."""
+    return np.einsum("k...,k...->...", u, grad_x)
+
+
 def magnitude(field: Field) -> np.ndarray:
     """Pointwise Euclidean/Frobenius magnitude as a plain array."""
     flat = field.data.reshape(-1, *field.grid.shape)
-    total = np.einsum("c...,c...->...", flat, flat)
+    total = _advection(flat, flat)
     return np.sqrt(total, out=total)
 
 

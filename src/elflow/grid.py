@@ -42,6 +42,12 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
+    def cutoff(self) -> int:
+        """The largest |mode index| the 2/3 rule keeps on every axis, n // 3:
+        the band of every solver state and of the banded transforms."""
+        return self.n // 3
+
+    @property
     def spacing(self) -> float:
         return self.length / self.n
 
@@ -90,7 +96,7 @@ class SpectralTables:
         # forms) must use one consistent k or they stop being projections.
         self.inv_k2_deriv = _inverse(sum(kj**2 for kj in self.k))
         self.dealias_mask = functools.reduce(
-            np.logical_and, (np.abs(m) <= n // 3 for m in self.mode_index))
+            np.logical_and, (np.abs(m) <= grid.cutoff for m in self.mode_index))
 
         for arr in (*self.k, *self.ik, self.k2, self.inv_k2, self.inv_k2_deriv,
                     self.dealias_mask, *self.mode_index):

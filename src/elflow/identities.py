@@ -20,10 +20,10 @@ import numpy as np
 
 from .el import (
     ELState, compute_C, compute_Q, el_step_with_passive, grad_ell_sup,
-    DEFAULT_DET_FLOOR, initial_state, reconstruct_u, _advection, _commutator,
-    _cotangent, _deformation, _grad_ell, _label, _project,
+    DEFAULT_DET_FLOOR, initial_state, reconstruct_u, _chain, _commutator,
+    _deformation, _project,
 )
-from .fields import Field, l2_norm, sup_norm, integral
+from .fields import Field, _advection, _label, l2_norm, sup_norm, integral
 from .forcing import ForcingSpec
 from .grid import Grid
 from .initial import random_bandlimited, random_scalar
@@ -116,15 +116,12 @@ def _to_grad_A(gl: np.ndarray) -> np.ndarray:
 
 
 def _commutator_of(state: ELState):
-    """(C, u, grad ell) of ``state``, by ``derive``'s chain from one
-    spectrum of ell but with C whole: the bits of ``derive``'s fields and of
-    ``compute_C``, from ``derive``'s transforms."""
-    grid = state.ell.grid
-    lhat = to_spectral(grid, state.ell.data)
-    gl = _grad_ell(grid, lhat)
-    q = _deformation(gl, DEFAULT_DET_FLOOR)[0]
-    w = Field(grid, _cotangent(gl, state.v.data))
-    c = _commutator(grid, q, lhat)
+    """(C, u, grad ell) of ``state``, by ``derive``'s ``_chain`` but with C
+    whole: the bits of ``derive``'s fields and of ``compute_C``, from
+    ``derive``'s transforms."""
+    lhat, gl, q, det, w = _chain(state)
+    del det
+    c = _commutator(state.ell.grid, q, lhat)
     del q, lhat
     return c, _project(w)[0], gl
 
@@ -162,7 +159,7 @@ def check_commutator(g: Field, ell: Field) -> IdentityReport:
         # d_k(label_i g) a spectral derivative of a non-band-limited product
         comm = (_label(q, hess[:, k])
                 - to_physical(grid, deriv_hat(grid, lag_hat, k), overwrite=True))
-        rhs = np.einsum("mi...,m...->i...", C[:, k], lag)
+        rhs = _advection(lag, C[:, k])
         worst = max(worst, float(np.max(np.abs(comm - rhs))))
     scale = max(float(np.max(np.abs(hess))), _TINY)
     residual = worst / scale
@@ -201,7 +198,7 @@ def check_braces(ell: Field) -> IdentityReport:
     for k, j, d2 in second_derivs(grid, to_spectral(grid, ell.data)):
         # d2[r] = d_j d_k A^r is the right side for (i, q) = (j, k) and (k, j)
         for i, q in {(j, k), (k, j)}:
-            lhs = np.einsum("m...,rm...->r...", gA[i], C[:, q])
+            lhs = _label(C[:, q], gA[i])
             worst = max(worst, float(np.max(np.abs(lhs - d2))))
         scale = max(scale, float(np.max(np.abs(d2))))
         del d2   # not held while the next block is made

@@ -10,9 +10,10 @@ stable serialization. Artifacts per output directory:
 * ``failure.json``     present only if a solver aborted mid-run,
 * ``manifest.json``    config hash plus a content hash of every file above.
 
-Every solver runs the one step loop ``_drive``; only a run whose artifacts
-are written is sampled (``_run``), and its snapshots are written as they
-are taken. A compare reads its oracle's states for ``u`` and ``w`` alone.
+Every solver, an oracle or a gauge twin too, is started by ``_start`` and
+runs the one step loop ``_drive``; only a run whose artifacts are written
+is sampled (``_run``), and its snapshots are written as they are taken. A
+compare reads its oracle's states for ``u`` and ``w`` alone.
 """
 from __future__ import annotations
 
@@ -167,42 +168,37 @@ def _run(result: RunResult, states, sample, snapdir: Path | None = None,
     return result
 
 
-# An unstarted run of each solver: its result and the generator of its sampled
-# states, which fills that result as it is advanced. A run holds u0 only in its
-# initial state, so a caller that drops its own reference to u0 releases it at
-# the first step (EL states start from a copy). Callers hand u0 over with
-# ``box.pop()``: CPython moves call arguments into the callee's frame, so
-# the callee then holds the only reference.
+def _start(cfg: RunConfig, kind: str, u0: Field):
+    """An unstarted run of ``kind`` (``classical``, ``cotangent``, ``el``, or
+    ``gauge``: EL from ``gauge_twin_initial(u0)``): its result and the
+    generator of its sampled states, which fills that result as it runs.
 
-def _classical(cfg: RunConfig, u0: Field):
-    def step(state, dt):
-        state = ns_step(state, cfg.forcing, dt, nu=cfg.nu)
-        return state, state.u
-
-    result = RunResult(cfg, "classical")
-    return result, _drive(result, NSState(0.0, u0), _plan(cfg, u0), step)
-
-
-def _cotangent(cfg: RunConfig, u0: Field):
-    def step(state, dt):
-        state = cotangent_step(state, cfg.forcing, dt, nu=cfg.nu)
-        return state, state.w
-
-    result = RunResult(cfg, "cotangent")
-    return result, _drive(result, WState(0.0, u0), _plan(cfg, u0), step)
-
-
-def _el(cfg: RunConfig, u0: Field, v0: Field | None = None):
-    result = RunResult(cfg, "el")
+    The step reads the solver functions from this module's globals when it
+    is called, where a tracer or a test may wrap them. A run holds u0 only
+    in its initial state (EL states start from a copy); callers hand u0 over
+    with ``box.pop()``, as CPython moves call arguments into the callee."""
+    result = RunResult(cfg, "el" if kind == "gauge" else kind)
+    if kind == "classical":
+        state = NSState(0.0, u0)
+    elif kind == "cotangent":
+        state = WState(0.0, u0)
+    else:
+        state = initial_state(gauge_twin_initial(u0) if kind == "gauge" else u0,
+                              potential_mode=cfg.potential_mode)
 
     def step(state, dt):
+        if kind == "classical":
+            state = ns_step(state, cfg.forcing, dt, nu=cfg.nu)
+            return state, state.u
+        if kind == "cotangent":
+            state = cotangent_step(state, cfg.forcing, dt, nu=cfg.nu)
+            return state, state.w
         state = el_step(state, cfg.forcing, dt, nu=cfg.nu)
         if cfg.reset.enabled and grad_ell_sup(state.ell) > RESET_THRESHOLD:
             state = reset_labels(state)
             result.resets.append(state.t)
         return state, state.v
 
-    state = initial_state(v0 if v0 is not None else u0, potential_mode=cfg.potential_mode)
     return result, _drive(result, state, _plan(cfg, u0), step)
 
 
@@ -223,13 +219,13 @@ def _velocity_sample(state, nu: float):
 
 
 def run_classical(cfg: RunConfig, u0: Field, snapdir: Path | None = None) -> RunResult:
-    run = _classical(cfg, u0)
+    run = _start(cfg, "classical", u0)
     del u0   # held by the initial state alone
     return _run(*run, lambda state: _velocity_sample(state, cfg.nu), snapdir)
 
 
 def run_cotangent(cfg: RunConfig, u0: Field, snapdir: Path | None = None) -> RunResult:
-    run = _cotangent(cfg, u0)
+    run = _start(cfg, "cotangent", u0)
     del u0   # held by the initial state alone
     return _run(*run, lambda state: _velocity_sample(state, cfg.nu), snapdir)
 
@@ -242,7 +238,7 @@ def run_el(cfg: RunConfig, u0: Field, each_sample=None,
     def sample(state):
         return el_sample(state, cfg.nu, m_list=cfg.m_list, forcing=cfg.forcing)
 
-    run = _el(cfg, u0)
+    run = _start(cfg, "el", u0)
     del u0   # the initial state holds a copy
     return _run(*run, sample, snapdir, each_sample)
 
@@ -308,13 +304,7 @@ class Lockstep:
     """
 
     def __init__(self, cfg: RunConfig, u0: Field, kind: str):
-        if kind == "classical":
-            run = _classical(cfg, u0)
-        elif kind == "cotangent":
-            run = _cotangent(cfg, u0)
-        else:
-            run = _el(cfg, u0, v0=gauge_twin_initial(u0))
-        self.result, self._states = run
+        self.result, self._states = _start(cfg, kind, u0)
         self.report = CompareReport(kind, w_rel_l2=[] if kind == "cotangent" else None)
 
     def __call__(self, t: float, fields: dict) -> None:

@@ -93,7 +93,7 @@ def _lines(grid: Grid, band: bool) -> tuple:
     to zero. With ``band=False`` every line is kept and none is dropped."""
     if not band:
         return (slice(None),), slice(0, 0), slice(None), slice(0, 0)
-    n, c = grid.n, grid.n // 3
+    n, c = grid.n, grid.cutoff
     return ((slice(0, c + 1), slice(n - c, n)), slice(c + 1, n - c),
             slice(0, c + 1), slice(c + 1, None))
 

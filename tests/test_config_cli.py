@@ -23,7 +23,7 @@ from elflow.config import (
 )
 from elflow.errors import BlowUpError, ConfigError, NearSingularJacobianError
 from elflow.forcing import ForcingSpec
-from elflow.runner import Lockstep, _classical, execute, initial_velocity, run_el
+from elflow.runner import Lockstep, _start, execute, initial_velocity, run_el
 from elflow.snapshots import read_snapshot
 
 
@@ -155,7 +155,7 @@ class TestCompareRuns:
         cfg = tiny_config(mode="classical")
         u0 = initial_velocity(cfg)
         beside = Lockstep(cfg, u0, "classical")
-        for state, _ in _classical(cfg, u0)[1]:
+        for state, _ in _start(cfg, "classical", u0)[1]:
             beside(state.t, {"u": state.u})
         rep = beside.finish()
         assert rep.max_rel_l2 == 0.0 and rep.max_rel_linf == 0.0
@@ -361,6 +361,13 @@ class TestCLI:
         {"initial": {"mode": 0}},
         {"initial": {"kind": "random_bandlimited", "band": 0}},
         {"m_list": [2, 2]},
+        # mode indices above the 2/3 band, n // 3 = 5 at n = 16
+        {"grid": {"n": 16}, "initial": {"kind": "taylor_green", "mode": 6}},
+        {"grid": {"dim": 3, "n": 16}, "initial": {"kind": "abc", "mode": 6}},
+        {"grid": {"n": 16}, "initial": {"kind": "random_bandlimited", "band": 6}},
+        {"grid": {"n": 16}, "forcing": {"kind": "single_mode", "amplitude": 0.5, "mode": 6}},
+        {"grid": {"n": 16}, "forcing": {"kind": "multi_mode", "amplitude": 0.5,
+                                        "modes": [1, 6]}},
     ], ids=["grid-not-object", "nu-not-numeric", "flag-not-boolean",
             "no-identity-dts", "one-identity-dt", "one-mc-sample",
             "zero-cfl-limit", "zero-reset-threshold", "float-grid-n",
@@ -368,7 +375,9 @@ class TestCLI:
             "unknown-initial-kind", "abc-in-2d", "one-forcing-mode",
             "zero-forcing-mode", "infinite-t-end", "step-count-overflow",
             "nan-nu", "nan-dt", "zero-C0", "zero-delta0", "zero-initial-mode",
-            "zero-initial-band", "repeated-m"])
+            "zero-initial-band", "repeated-m", "taylor-green-beyond-band",
+            "abc-beyond-band", "random-band-beyond-band", "single-mode-beyond-band",
+            "multi-mode-beyond-band"])
     def test_malformed_config_is_a_config_error(self, doc, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
@@ -378,6 +387,20 @@ class TestCLI:
         assert "Traceback" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
         assert not (tmp_path / "o").exists()
+
+    def test_modes_at_the_band_edge_are_kept(self, tmp_path):
+        """Modes at exactly n // 3 are accepted, and a force there is
+        applied: a classical run from rest gains energy."""
+        doc = {**tiny_config(mode="classical").to_dict(),
+               "initial": {"kind": "taylor_green", "amplitude": 0.0, "mode": 5},
+               "forcing": {"kind": "single_mode", "amplitude": 0.5, "mode": 5}}
+        cfg_path = tmp_path / "edge.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        energy = rows[0].split(",").index("energy")
+        assert float(rows[-1].split(",")[energy]) > 1e-6
 
     @pytest.mark.parametrize("command,doc", [
         ("run", {"mode": "el", "initial": {"kind": "random_bandlimited", "seed": -1}}),

@@ -9,16 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from elflow import spectral
 from elflow.classical import NSState, _nonlinear_hat, ns_step
 from elflow.el import (
     WState, compute_C, compute_Q, compute_w,
     cotangent_step, derive, el_step, el_step_with_passive,
-    initial_state, reconstruct_u, reset_labels, _advection, _commutator,
-    _commutator_rows, _commutator_source, _cotangent_nonlinear_hat, _label,
+    initial_state, reconstruct_u, reset_labels, _commutator,
+    _commutator_rows, _commutator_source, _cotangent_nonlinear_hat,
     _potential_rhs_hat, _stage_terms,
 )
-from elflow.errors import CFLViolationError, NearSingularJacobianError
-from elflow.fields import Field, l2_norm, magnitude, sup_norm, zeros
+from elflow.errors import BlowUpError, CFLViolationError, NearSingularJacobianError
+from elflow.fields import Field, _advection, _label, l2_norm, magnitude, sup_norm, zeros
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid, tables
 from elflow.identities import make_test_state, random_displacement
@@ -388,22 +389,22 @@ class TestELStep:
         a, b, yhat = crandn(), crandn(), crandn()
         u = np.zeros((grid.dim, *grid.shape))
 
-        def n_of(y, t):
-            return a * y + (1.0 + t) * b
+        def n_of(y):
+            return a * y + b
 
-        def rhs(y, t):   # N packed to the band, as every solver returns it
-            return pack(grid, n_of(y, t)), u
+        def rhs(y):   # N packed to the band, as every solver returns it
+            return pack(grid, n_of(y)), u
 
-        t, dt = 0.3, 1e-2
+        dt = 1e-2
         e = np.exp(-nu * tables(grid).k2 * (0.5 * dt))
         e2 = e * e
-        n1 = n_of(yhat, t)
-        n2 = n_of(e * (yhat + 0.5 * dt * n1), t + 0.5 * dt)
-        n3 = n_of(e * yhat + 0.5 * dt * n2, t + 0.5 * dt)
-        n4 = n_of(e2 * yhat + dt * e * n3, t + dt)
+        n1 = n_of(yhat)
+        n2 = n_of(e * (yhat + 0.5 * dt * n1))
+        n3 = n_of(e * yhat + 0.5 * dt * n2)
+        n4 = n_of(e2 * yhat + dt * e * n3)
         expected = e2 * yhat + (dt / 6.0) * (e2 * n1 + 2.0 * e * (n2 + n3) + n4)
         y_in = yhat.copy()
-        result = if_rk4_step(grid, y_in, t, dt, nu, rhs)
+        result = if_rk4_step(grid, y_in, dt, nu, rhs)
         assert result is y_in
         assert np.array_equal(result, expected)
         assert not np.any(result[..., ~mask])
@@ -445,6 +446,13 @@ class TestELStep:
         state = initial_state(taylor_green(grid2d))
         with pytest.raises(CFLViolationError):
             el_step(state, ZERO, 1.0, nu=0.01)
+
+    def test_non_finite_potential_is_a_blow_up(self, grid2d):
+        # the dynamic n row is stepped beside ell and v and checked with them
+        state = initial_state(taylor_green(grid2d), potential_mode="dynamic")
+        state.n_pot.data[3, 5] = np.nan
+        with pytest.raises(BlowUpError):
+            el_step(state, ZERO, 1e-3, nu=0.01)
 
     def test_divergence_invariant(self, grid3d):
         state = initial_state(taylor_green(grid3d))
@@ -518,6 +526,23 @@ class TestResetLabels:
         for _ in range(steps):
             state = el_step(state, ZERO, 1e-3, nu=0.01)
         return state
+
+    @pytest.mark.parametrize("grid_name,scalars", [("grid2d", 11), ("grid3d", 18)])
+    def test_a_reset_transforms_only_what_n_needs(self, grid_name, scalars,
+                                                  request, monkeypatch):
+        """grad ell, div w and the Poisson solve for n: the projected
+        velocity, which the reset drops, is never built."""
+        grid = request.getfixturevalue(grid_name)
+        state = make_test_state(grid, 3, 0.05)
+        counted = []
+        for name in ("to_spectral", "to_physical"):
+            def count(grid, x, *args, _fn=getattr(spectral, name), **kwargs):
+                counted.append(int(np.prod(x.shape[:x.ndim - grid.dim])))
+                return _fn(grid, x, *args, **kwargs)
+            monkeypatch.setattr(spectral, name, count)
+        after = reset_labels(state)
+        assert sum(counted) == scalars
+        assert np.array_equal(after.n_pot.data, reconstruct_u(state.ell, state.v)[1].data)
 
     def test_fresh_state_is_fixed_point(self, grid2d):
         state = initial_state(random_bandlimited(grid2d, 3))

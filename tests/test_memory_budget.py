@@ -30,8 +30,8 @@ import numpy as np
 import pytest
 
 from elflow.config import GridConfig, InitialConfig, RunConfig
-from elflow.el import _advection, _cotangent, _label, derive, el_step
-from elflow.fields import Field, magnitude
+from elflow.el import _cotangent, derive, el_step
+from elflow.fields import Field, _advection, _label, magnitude
 from elflow.forcing import ForcingSpec
 from elflow.grid import Grid
 from elflow.identities import (

@@ -64,9 +64,9 @@ def _workload(name: str, seed: int = 1, **overrides) -> dict:
 
 
 # Every solver and command, bounds reports on a flow at rest and at nu = 0,
-# a grid whose Nyquist index a float fftfreq rounds (n = 98), CFL and
-# mid-run solver failures (exit 2), both ways to fix dt, and the benchmark
-# workloads at seed 1.
+# a grid whose Nyquist index a float fftfreq rounds (n = 98), a force above
+# the 2/3 band (exit 1), CFL and mid-run solver failures (exit 2), both ways
+# to fix dt, and the benchmark workloads at seed 1.
 CASES = {
     "el": _case("run", _TINY, mode="el"),
     "classical": _case("run", _TINY, mode="classical"),
@@ -97,6 +97,10 @@ CASES = {
                           "initial": {"kind": "taylor_green", "amplitude": 0.2},
                           "mc": {"samples": 2000}}),
     "el-n98": _case("run", _TINY, mode="el", grid={"dim": 2, "n": 98}),
+    # a force above the 2/3 band (n // 3 = 5): a config error
+    "forcing-beyond-band": _case("bounds-report", {**_TINY, **_UNBROKEN},
+                                 forcing={"kind": "single_mode", "amplitude": 0.5,
+                                          "mode": 6}),
     "pair-dispersion": _case("pair-dispersion", _TINY, mode="el",
                              reset={"enabled": False}),
     "verify-identities-2d": _case("verify-identities", _TINY,
