@@ -31,9 +31,8 @@ class NSState:
 def _nonlinear_hat(grid: Grid, uhat: np.ndarray, force: Field | None):
     """P(dealias(-u.grad u) + f) in spectral space, and the velocity u, from
     the dealiased ``uhat``."""
-    u = to_physical(grid, uhat, band=True)
-    jac = to_physical(grid, grad_hat(grid, uhat), overwrite=True,
-                      band=True)   # jac[i, m] = d_i u_m
+    u = to_physical(grid, uhat.copy(), band=True)   # uhat is the stage input
+    jac = to_physical(grid, grad_hat(grid, uhat), band=True)   # jac[i, m] = d_i u_m
     out = to_spectral(grid, -_advection(u, jac), band=True)
     if force is not None:
         out = out + to_spectral(grid, force.data, band=True)
@@ -55,6 +54,6 @@ def ns_step(state: NSState, forcing: ForcingSpec, dt: float, *, nu: float) -> NS
 
     uhat = to_spectral(grid, state.u.data, band=True)
     new_hat = if_rk4_step(grid, uhat, dt, nu, rhs)
-    u_new = to_physical(grid, new_hat, overwrite=True, band=True)
+    u_new = to_physical(grid, new_hat, band=True)
     ensure_finite(u_new, "velocity", state.t + dt)
     return NSState(state.t + dt, Field(grid, u_new))

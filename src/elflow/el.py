@@ -97,7 +97,7 @@ def initial_state(u0: Field, potential_mode: str = "static") -> ELState:
 def _grad_ell(grid: Grid, lhat: np.ndarray, *, band: bool = False, out=None) -> np.ndarray:
     """gl[i, m] = d_i ell_m from the spectrum of ell; ``band`` and ``out``
     are passed to ``to_physical``."""
-    return to_physical(grid, grad_hat(grid, lhat), overwrite=True, band=band, out=out)
+    return to_physical(grid, grad_hat(grid, lhat), band=band, out=out)
 
 
 def _deformation(gl: np.ndarray, det_floor: float, out=None):
@@ -294,10 +294,11 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None, ws):
     """
     gl = _grad_ell(grid, lhat, band=True, out=ws[0])
     q = _deformation(gl, DEFAULT_DET_FLOOR, out=ws[1])[0]   # det is not held
-    what = to_spectral(grid, _cotangent(gl, to_physical(grid, vhat, band=True)), band=True)
+    what = to_spectral(grid, _cotangent(gl, to_physical(grid, vhat.copy(), band=True)),
+                       band=True)   # vhat is the stage input
     uhat = leray_hat(grid, what)
     del what
-    u = to_physical(grid, uhat, band=True)
+    u = to_physical(grid, uhat.copy(), band=True)   # uhat is read below
 
     g_ell = _advection_hat(grid, u, gl)
     g_ell -= uhat
@@ -306,7 +307,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None, ws):
 
     gv = ws[0]
     for k in range(grid.dim):   # gv[k, m] = d_k v_m, one direction at a time
-        to_physical(grid, deriv_hat(grid, vhat, k), overwrite=True, band=True, out=gv[k])
+        to_physical(grid, deriv_hat(grid, vhat, k), band=True, out=gv[k])
     g_v = pack(grid, _advection_hat(grid, u, gv))
     if nu > 0.0:
         source = pack(grid, to_spectral(grid, _commutator_source(grid, q, lhat, gv),
@@ -322,8 +323,7 @@ def _stage_terms(grid: Grid, nu: float, lhat, vhat, force: Field | None, ws):
 
 def _potential_rhs_hat(grid: Grid, nhat, u: np.ndarray) -> np.ndarray:
     """Dynamic-potential source: -u.grad n + R_iR_j(u^i u^j) - |u|^2/2 + c."""
-    out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat), overwrite=True,
-                                              band=True))
+    out = _advection_hat(grid, u, to_physical(grid, grad_hat(grid, nhat), band=True))
     out += quadratic_pressure_hat(grid, u)
     out -= to_spectral(grid, 0.5 * _advection(u, u), band=True)
     out[_zero_mode(grid)] = 0.0  # the free constant fixes a zero spatial mean
@@ -358,13 +358,13 @@ def el_step_with_passive(state: ELState, forcing: ForcingSpec, dt: float, *,
         if dynamic:
             rows.append(pack(grid, _potential_rhs_hat(grid, y[2 * d], u)[None]))
         for row in passive_rows:
-            grad = to_physical(grid, grad_hat(grid, y[row]), overwrite=True, band=True)
+            grad = to_physical(grid, grad_hat(grid, y[row]), band=True)
             rows.append(pack(grid, _advection_hat(grid, u, grad)[None]))
         return np.concatenate(rows), u
 
     if_rk4_step(grid, yhat, dt, nu, rhs)
     del ws   # not held past the stages
-    ynew = to_physical(grid, yhat, overwrite=True, band=True)
+    ynew = to_physical(grid, yhat, band=True)
     ensure_finite(ynew, "the stepped stack (ell, v[, n], passive scalars)", state.t + dt)
     ell_field = Field(grid, ynew[:d])
     v_field = Field(grid, ynew[d:2 * d])
@@ -412,12 +412,10 @@ class WState:
 def _cotangent_nonlinear_hat(grid: Grid, what, force: Field | None):
     """The stage term of the dealiased ``what`` and the velocity u."""
     uhat = leray_hat(grid, what)
-    u = to_physical(grid, uhat, band=True)
-    w = to_physical(grid, what, band=True)
-    gw = to_physical(grid, grad_hat(grid, what), overwrite=True,
-                     band=True)   # gw[k, m] = d_k w_m
-    gu = to_physical(grid, grad_hat(grid, uhat), overwrite=True,
-                     band=True)   # gu[i, j] = d_i u_j
+    gu = to_physical(grid, grad_hat(grid, uhat), band=True)   # gu[i, j] = d_i u_j
+    u = to_physical(grid, uhat, band=True)   # consumes uhat, so after gu
+    gw = to_physical(grid, grad_hat(grid, what), band=True)   # gw[k, m] = d_k w_m
+    w = to_physical(grid, what.copy(), band=True)   # what is the stage input
     out = -to_spectral(grid, _advection(u, gw) + _label(gu, w), band=True)
     if force is not None:
         out += to_spectral(grid, force.data, band=True)
@@ -436,6 +434,6 @@ def cotangent_step(state: WState, forcing: ForcingSpec, dt: float, *,
 
     what = to_spectral(grid, state.w.data, band=True)
     new_hat = if_rk4_step(grid, what, dt, nu, rhs)
-    w_new = to_physical(grid, new_hat, overwrite=True, band=True)
+    w_new = to_physical(grid, new_hat, band=True)
     ensure_finite(w_new, "cotangent variable", state.t + dt)
     return WState(state.t + dt, Field(grid, w_new))

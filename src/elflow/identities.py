@@ -158,7 +158,7 @@ def check_commutator(g: Field, ell: Field) -> IdentityReport:
         # label_i(d_k g) is pointwise algebra on the exact Hessian;
         # d_k(label_i g) a spectral derivative of a non-band-limited product
         comm = (_label(q, hess[:, k])
-                - to_physical(grid, deriv_hat(grid, lag_hat, k), overwrite=True))
+                - to_physical(grid, deriv_hat(grid, lag_hat, k)))
         rhs = _advection(lag, C[:, k])
         worst = max(worst, float(np.max(np.abs(comm - rhs))))
     scale = max(float(np.max(np.abs(hess))), _TINY)
@@ -293,17 +293,17 @@ def check_C_evolution(state: ELState, dt: float, *, nu: float) -> IdentityReport
     uhat = to_spectral(grid, u)
     worst = scale = 0.0
     for k in range(d):
-        gu_k = to_physical(grid, deriv_hat(grid, uhat, k), overwrite=True)  # gu_k[l] = d_k u_l
+        gu_k = to_physical(grid, deriv_hat(grid, uhat, k))  # gu_k[l] = d_k u_l
         for m in range(d):
             c_hat = to_spectral(grid, c0[m, k])             # C[m, k; i], i leading
             # C(t + dt)[m, k] becomes G C[m, k], then the residual, in place
             r = res[m, k]
             r -= c0[m, k]
             r /= dt
-            r -= nu * to_physical(grid, lap_hat(grid, c_hat), overwrite=True)
+            r -= nu * to_physical(grid, lap_hat(grid, c_hat))
             term3 = np.zeros_like(r)
             for l in range(d):
-                dl_c = to_physical(grid, deriv_hat(grid, c_hat, l), overwrite=True)
+                dl_c = to_physical(grid, deriv_hat(grid, c_hat, l))
                 r += u[l] * dl_c
                 for j in range(d):
                     term3 += c0[j, l] * dl_c[j]             # C[j, l; i] d_l C[m, k; j]

@@ -64,7 +64,7 @@ def random_scalar(grid: Grid, seed: int, *, band: int | None = None,
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.shape)
     hat = to_spectral(grid, white) * _band_envelope(grid, band, width)
-    values = to_physical(grid, hat, overwrite=True)
+    values = to_physical(grid, hat)
     scale = float(np.sqrt(np.mean(values**2)))
     if scale > 0:
         values *= 1.0 / scale   # not values / scale: artifacts depend on the last bit
@@ -78,7 +78,7 @@ def random_bandlimited(grid: Grid, seed: int, *, band: int | None = None,
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((grid.dim, *grid.shape))
     hat = to_spectral(grid, white) * _band_envelope(grid, band, None)
-    u = leray_project(Field(grid, to_physical(grid, hat, overwrite=True)))
+    u = leray_project(Field(grid, to_physical(grid, hat)))
     peak = sup_norm(u)
     if peak > 0:
         u.data *= amplitude / peak

@@ -10,9 +10,9 @@ the passes of ``scipy.fft.rfftn``/``irfftn``, in its order, one axis at a
 time, on scipy's compiled pocketfft kernel, and give its bits in 2D and
 3D. The kernel is loaded from its file on the first transform: elflow
 never imports ``scipy.fft``, whose import also pulls in ``scipy.special``.
-``to_physical(..., overwrite=True)`` makes the inverse's passes in the
-spectrum it is given, so a temporary spectrum is inverted without a work
-array of its own.
+``to_physical`` makes the inverse's passes in the spectrum it is given and
+leaves it undefined, so it allocates only its result; a caller that reads
+the spectrum again inverts a copy.
 
 The full and the banded transforms are the same passes: the full ones take
 every line, and with ``band=True`` they skip the lines that hold only
@@ -82,9 +82,10 @@ def _pocketfft():
 # on strided views of the lines it takes, with no copy of them. The inverse
 # scales once by 1/n^dim at the end: a scaling per pass rounds differently
 # unless n is a power of two. The full transforms take every line. The
-# banded ones take only the lines that hold in-band values and set the
-# others to zero: along a full axis the 2/3 mask keeps the indices 0..n//3
-# and n-n//3..n-1 (the two ``keep`` slices), along the halved last axis
+# banded ones take only the lines that hold in-band values; the forward
+# sets the others to zero, and the inverse finds them zero in its input.
+# Along a full axis the 2/3 mask keeps the indices 0..n//3 and
+# n-n//3..n-1 (the two ``keep`` slices), along the halved last axis
 # 0..n//3 (``last``).
 
 def _lines(grid: Grid, band: bool) -> tuple:
@@ -137,35 +138,26 @@ def to_spectral(grid: Grid, values: np.ndarray, *, band: bool = False) -> np.nda
     return hat
 
 
-def to_physical(grid: Grid, hat: np.ndarray, *, overwrite: bool = False,
-                band: bool = False, out=None) -> np.ndarray:
-    """irfftn over the trailing ``dim`` axes. With ``overwrite=True`` the
-    transform uses ``hat`` as work space; pass it only for a temporary that
-    is not read again. ``band=True`` promises that ``hat`` is zero off the
-    2/3 mask, so the passes skip the lines the mask zeroes; the result is
-    the full inverse's. The result is written into ``out`` when it is given.
+def to_physical(grid: Grid, hat: np.ndarray, *, band: bool = False,
+                out=None) -> np.ndarray:
+    """irfftn over the trailing ``dim`` axes. Every pass is made in ``hat``,
+    which is left undefined: pass a copy of a spectrum that is read again.
+    ``band=True`` promises that ``hat`` is zero off the 2/3 mask, so the
+    passes skip the lines the mask zeroes; the result is the full inverse's.
+    The result is written into ``out`` when it is given.
 
     The passes: axis -3 (3D) on the lines kept along both other axes, then
-    axis -2 on the kept last-axis indices, then the last axis on every line.
-    The work array is ``hat`` itself with ``overwrite``, else a new one whose
-    dropped entries are set to zero."""
-    keep, drop, last, last_drop = _lines(grid, band)
+    axis -2 on the kept last-axis indices, then the last axis on every line
+    into the result."""
+    keep, _, last, _ = _lines(grid, band)
     kernel, nd = _pocketfft(), hat.ndim
-    if overwrite:
-        work = hat
-    else:
-        work = np.empty_like(hat)
-        work[..., last_drop] = 0.0
-    lines = hat[..., last]
     if grid.dim == 3:
-        if not overwrite:
-            work[..., drop, last] = 0.0
         for cols in keep:
-            kernel.c2c(hat[..., cols, last], axes=[nd - 3], forward=False, inorm=0,
-                       out=work[..., cols, last])
-        lines = work[..., last]
-    kernel.c2c(lines, axes=[nd - 2], forward=False, inorm=0, out=work[..., last])
-    out = kernel.c2r(work, axes=[nd - 1], lastsize=grid.n, forward=False, inorm=0, out=out)
+            lines = hat[..., cols, last]
+            kernel.c2c(lines, axes=[nd - 3], forward=False, inorm=0, out=lines)
+    lines = hat[..., last]
+    kernel.c2c(lines, axes=[nd - 2], forward=False, inorm=0, out=lines)
+    out = kernel.c2r(hat, axes=[nd - 1], lastsize=grid.n, forward=False, inorm=0, out=out)
     out *= 1.0 / grid.n**grid.dim
     return out
 
@@ -197,8 +189,7 @@ def second_derivs(grid: Grid, hat: np.ndarray, *, band: bool = False):
     wn = tables(grid).k
     for k in range(grid.dim):
         for j in range(k, grid.dim):
-            yield k, j, to_physical(grid, -(wn[j] * wn[k]) * hat, overwrite=True,
-                                    band=band)
+            yield k, j, to_physical(grid, -(wn[j] * wn[k]) * hat, band=band)
 
 
 def div_hat(grid: Grid, vhat: np.ndarray) -> np.ndarray:
@@ -243,8 +234,7 @@ def poisson_hat(grid: Grid, shat: np.ndarray) -> np.ndarray:
 def _spectral_op(f: Field, op_hat) -> Field:
     """The field whose spectrum is ``op_hat(grid, spectrum of f)``."""
     grid = f.grid
-    return Field(grid, to_physical(grid, op_hat(grid, to_spectral(grid, f.data)),
-                                   overwrite=True))
+    return Field(grid, to_physical(grid, op_hat(grid, to_spectral(grid, f.data))))
 
 
 def gradient(f: Field) -> Field:
@@ -265,13 +255,13 @@ def curl(v: Field):
     k = tables(grid).k
     if grid.dim == 2:
         what = 1j * (k[0] * vhat[1] - k[1] * vhat[0])
-        return Field(grid, to_physical(grid, what, overwrite=True))
+        return Field(grid, to_physical(grid, what))
     out = np.stack([
         1j * (k[1] * vhat[2] - k[2] * vhat[1]),
         1j * (k[2] * vhat[0] - k[0] * vhat[2]),
         1j * (k[0] * vhat[1] - k[1] * vhat[0]),
     ])
-    return Field(grid, to_physical(grid, out, overwrite=True))
+    return Field(grid, to_physical(grid, out))
 
 
 def laplacian(f: Field) -> Field:
@@ -314,7 +304,7 @@ def quadratic_pressure_hat(grid: Grid, u: np.ndarray) -> np.ndarray:
 def riesz_pressure(u: Field, c: float = 0.0) -> Field:
     """Pressure R_i R_j(u^i u^j) + c of a divergence-free velocity."""
     grid = u.grid
-    values = to_physical(grid, quadratic_pressure_hat(grid, u.data), overwrite=True) + c
+    values = to_physical(grid, quadratic_pressure_hat(grid, u.data)) + c
     return Field(grid, values)
 
 
@@ -322,7 +312,7 @@ def dealias(field: Field) -> Field:
     """2/3-rule truncation: modes with any |index| above n//3 are zeroed."""
     grid = field.grid
     hat = to_spectral(grid, field.data, band=True)
-    return Field(grid, to_physical(grid, hat, overwrite=True, band=True))
+    return Field(grid, to_physical(grid, hat, band=True))
 
 
 def hessian(s: Field) -> Field:
@@ -353,4 +343,4 @@ def resample(field: Field, n_new: int) -> Field:
     idx_put = np.ix_(*[put] * (grid.dim - 1), np.arange(half))
     new_hat[(Ellipsis, *idx_put)] = hat[(Ellipsis, *idx_take)]
     new_hat *= (n_new / grid.n) ** grid.dim
-    return Field(fine, to_physical(fine, new_hat, overwrite=True))
+    return Field(fine, to_physical(fine, new_hat))

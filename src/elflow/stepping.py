@@ -36,7 +36,8 @@ def if_rk4_step(grid: Grid, yhat: np.ndarray, dt: float, nu: float, rhs):
     are written in band into it, its off-band zeros are kept, and it is
     returned. ``rhs(y)`` returns N in spectral space packed to the band
     (``spectral.pack``), as a new array that the step may overwrite, and the
-    physical velocity of its stage; it must hold no reference to ``y``.
+    physical velocity of its stage; it must hold no reference to ``y`` and
+    must not write into it, since the step reads ``y`` again.
     The first stage's velocity is that of the input state: raises
     ``CFLViolationError`` when its CFL number exceeds ``CFL_LIMIT``.
     """

@@ -409,6 +409,33 @@ class TestELStep:
         assert np.array_equal(result, expected)
         assert not np.any(result[..., ~mask])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_right_hand_sides_leave_the_stage_input_as_it_was(self, dim, monkeypatch):
+        # if_rk4_step re-reads each stage input and writes the next one into
+        # it in band, so no right-hand side may write into the spectrum it is
+        # given: EL (dynamic n, forced, viscous, one passive scalar), the
+        # classical and the cotangent stage, four stages of one step each
+        from elflow import classical, el
+        g = Grid(dim, 16, TWO_PI)
+        force, dt, nu = ForcingSpec("single_mode", amplitude=0.5), 1e-2, 0.05
+        changed = []
+
+        def guarded(grid, yhat, dt, nu, rhs):
+            def checked(y):
+                kept = y.copy()
+                result = rhs(y)
+                changed.append(not np.array_equal(y, kept))
+                return result
+            return if_rk4_step(grid, yhat, dt, nu, checked)
+
+        for module in (el, classical):
+            monkeypatch.setattr(module, "if_rk4_step", guarded)
+        state = replace(make_test_state(g, 1, 0.05), potential_mode="dynamic")
+        el_step_with_passive(state, force, dt, nu=nu, passive=(random_scalar(g, 4),))
+        ns_step(NSState(0.0, state.v), force, dt, nu=nu)
+        cotangent_step(WState(0.0, state.v), force, dt, nu=nu)
+        assert changed == [False] * 12
+
     def test_maximum_principle_passive_scalar(self):
         g = Grid(2, 64, TWO_PI)
         state = initial_state(taylor_green(g))

@@ -9,11 +9,11 @@ rank-4 tensors, a sample holds one row of C at a time and so no more than
 a step, and no identity check holds more than one EL step's
 working set plus the fields it names. A run writes each snapshot when it is
 taken, so a whole command holds none of them past its sample.
-``to_physical(..., overwrite=True)`` works in place in a temporary spectrum
-in both dims. The transforms of both dims run on scipy's compiled pocketfft
-kernel, one axis at a time; the arrays they return and their work arrays
-are numpy arrays and traced, and only the kernel's buffer of a few lines
-is not.
+``to_physical`` makes every pass in the spectrum it is given, in both
+dims, and allocates only its output. The transforms of both dims run on
+scipy's compiled pocketfft kernel, one axis at a time; the arrays they
+return are numpy arrays and traced, and only the kernel's buffer of a few
+lines is not.
 
 Run as a script to print the peak of every budgeted call on a 3D grid of
 n points per axis (default 16):
@@ -40,6 +40,7 @@ from elflow.identities import (
 )
 from elflow.initial import random_scalar
 from elflow.runner import compare_runs, el_sample, execute, initial_velocity
+from elflow.spectral import to_physical, to_spectral
 
 GRID = Grid(3, 16, 2.0 * np.pi)
 FORCE = ForcingSpec("single_mode", amplitude=0.5)
@@ -165,6 +166,18 @@ def test_contraction_allocates_only_its_output(name):
     fn, output = _contractions()[name]
     peak = peak_fields(fn)
     assert peak <= output + 0.1, f"{name} peaked at {peak:.2f} fields for {output}"
+
+
+@pytest.mark.parametrize("band", [False, True], ids=["full", "band"])
+def test_inverse_transform_allocates_only_its_output(band):
+    """``to_physical`` makes every pass in the spectrum it is given, so the
+    full and the banded inverse of a 3-component spectrum allocate only
+    their output. Each call consumes its input: the spectra, one per call,
+    are made before the traced call."""
+    values = np.random.default_rng(0).standard_normal((3, *GRID.shape))
+    spectra = iter([to_spectral(GRID, values, band=band) for _ in range(2)])
+    peak = peak_fields(lambda: to_physical(GRID, next(spectra), band=band))
+    assert peak <= 3 + 0.1, f"the inverse peaked at {peak:.2f} fields for 3"
 
 
 def test_compare_holds_no_series():
