@@ -448,7 +448,8 @@ def _manifest(outdir: Path, cfg: RunConfig) -> None:
     files = {}
     for path in sorted(outdir.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            with open(path, "rb") as fh:
+                digest = hashlib.file_digest(fh, "sha256").hexdigest()
             files[str(path.relative_to(outdir))] = digest
     _write_json(outdir / "manifest.json",
                 {"config_hash": cfg.config_hash(), "files": files})

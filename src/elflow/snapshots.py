@@ -32,7 +32,7 @@ def write_snapshot(path, field: Field, *, time: float, name: str) -> None:
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def read_snapshot(path):

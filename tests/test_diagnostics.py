@@ -8,8 +8,8 @@ import pytest
 
 from elflow.classical import NSState, ns_step
 from elflow.diagnostics import (
-    asserted_pass, displacement_bounds, epsilon_bound, helicity, k_bounds, k_infty,
-    pair_dispersion, record_classical, record_el, v_growth,
+    PAIR_BLOCK, asserted_pass, displacement_bounds, epsilon_bound, helicity, k_bounds,
+    k_infty, pair_dispersion, record_classical, record_el, v_growth,
     write_timeseries_csv,
 )
 from elflow.el import derive, el_step, initial_state, reset_labels
@@ -248,6 +248,35 @@ class TestPairDispersion:
                               * (np.sum(da**2, axis=0) <= delta0**2)))
         rep = pair_dispersion(ell, delta0, 200_000, 5, t=0.1, E0=0.5, eps_B=0.1)
         assert abs(rep.mean_square_separation - exact) < 4 * rep.standard_error
+
+    @staticmethod
+    def _whole_array_estimate(ell, delta0, samples, seed):
+        """The estimate with every pair's separations held at once."""
+        grid = ell.grid
+        rng = np.random.default_rng(seed)
+        flat_ell = ell.data.reshape(grid.dim, -1)
+        ix = rng.integers(0, flat_ell.shape[1], size=samples)
+        iy = rng.integers(0, flat_ell.shape[1], size=samples)
+        coords = np.stack([c.reshape(-1) for c in grid.coords()])
+        dx = coords[:, ix] - coords[:, iy]
+        dx -= grid.length * np.round(dx / grid.length)
+        da = dx + flat_ell[:, ix] - flat_ell[:, iy]
+        da -= grid.length * np.round(da / grid.length)
+        values = np.sum(dx**2, axis=0) * (np.sum(da**2, axis=0) <= delta0**2)
+        return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(samples))
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("samples", [2, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1,
+                                         3 * PAIR_BLOCK + 7])
+    def test_blocks_match_whole_array_bit_for_bit(self, dim, n, samples):
+        g = Grid(dim, n, TWO_PI)
+        ell = random_displacement(g, 11, 0.3)
+        delta0 = g.length / 6
+        rep = pair_dispersion(ell, delta0, samples, 7, t=0.3, E0=0.5, eps_B=0.1)
+        mean, se = self._whole_array_estimate(ell, delta0, samples, 7)
+        assert rep.mean_square_separation == mean
+        assert rep.standard_error == se
+        assert rep.passed == (mean <= rep.bound + 3.0 * se)
 
     def test_standard_error_halves_with_4x_samples(self, grid2d):
         ell = random_displacement(grid2d, 13, 0.1)

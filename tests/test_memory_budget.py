@@ -7,7 +7,9 @@ bound the arrays the code holds at once: the second-derivative and
 commutator algebra is consumed block by block, never as whole rank-3 or
 rank-4 tensors, a sample holds one row of C at a time and so no more than
 a step, and no identity check holds more than one EL step's
-working set plus the fields it names. A run writes each snapshot when it is
+working set plus the fields it names. The pair-dispersion estimate holds
+its drawn pairs and one value per pair, and forms their separations one
+block at a time. A run writes each snapshot when it is
 taken, so a whole command holds none of them past its sample.
 ``to_physical`` makes every pass in the spectrum it is given, in both
 dims, and allocates only its output. The transforms of both dims run on
@@ -30,6 +32,7 @@ import numpy as np
 import pytest
 
 from elflow.config import GridConfig, InitialConfig, RunConfig
+from elflow.diagnostics import pair_dispersion
 from elflow.el import _cotangent, derive, el_step
 from elflow.fields import Field, _advection, _label, magnitude
 from elflow.forcing import ForcingSpec
@@ -71,7 +74,7 @@ def _grow_interned_strings() -> None:
         tracemalloc.stop()
 
 
-def peak_fields(fn, grid: Grid = GRID) -> float:
+def peak_bytes(fn) -> int:
     """Traced peak of one call of ``fn``, after an untraced warm-up call that
     fills the cached wavenumber tables, and after the interned-string table
     is made to grow."""
@@ -80,10 +83,14 @@ def peak_fields(fn, grid: Grid = GRID) -> float:
     tracemalloc.start()
     try:
         fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (8 * grid.n**grid.dim)
+
+
+def peak_fields(fn, grid: Grid = GRID) -> float:
+    """``peak_bytes`` in scalar fields of ``grid``."""
+    return peak_bytes(fn) / (8 * grid.n**grid.dim)
 
 
 def _calls(outdir, grid: Grid = GRID):
@@ -142,6 +149,27 @@ def test_a_sample_peaks_at_or_below_a_step(tmp_path):
     for name in ("derive", "el_sample"):
         peak = peak_fields(calls[name])
         assert peak <= step, f"{name} peaked at {peak:.1f} fields, el_step at {step:.1f}"
+
+
+# The bounds suite's pair count, and the bytes per pair the estimate may hold:
+# its two drawn indices, its one value and the blocks' share.
+PAIRS = 100_000
+BYTES_PER_PAIR = 5 * 8
+
+
+def _pair_dispersion(grid: Grid = GRID):
+    ell = random_displacement(grid, 1, 0.2)
+    return lambda: pair_dispersion(ell, grid.length / 8, PAIRS, 1, t=0.1, E0=0.5,
+                                   eps_B=0.1)
+
+
+def test_pair_dispersion_holds_no_separation_of_every_pair():
+    """The estimate keeps whole only the two index draws and one value per
+    pair (24 bytes); each block's coordinates and separations are dropped
+    before the next block is formed."""
+    peak = peak_bytes(_pair_dispersion())
+    assert peak <= BYTES_PER_PAIR * PAIRS, \
+        f"pair_dispersion peaked at {peak / PAIRS:.1f} bytes per pair"
 
 
 def _contractions(grid: Grid = GRID):
@@ -209,3 +237,7 @@ if __name__ == "__main__":
         for name, fn in _calls(outdir, grid).items():
             print(f"  {name:24s} {peak_fields(fn, grid):7.1f}   "
                   f"(budget at n=16: {BUDGETS[name]})")
+        peak = peak_bytes(_pair_dispersion(grid))
+        print(f"  {'pair_dispersion':24s} {peak / (8 * grid.n**grid.dim):7.1f}   "
+              f"({peak / PAIRS:.1f} bytes per pair of {PAIRS}; "
+              f"budget {BYTES_PER_PAIR})")
